@@ -2,63 +2,22 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
+#include <limits>
 
 namespace sqp {
 
-/// Shard worker i's downstream: buffers the replica's emissions and
-/// hands them to the merge queue a chunk at a time — one lock
-/// acquisition and at most one wakeup per chunk. Punctuations flush the
-/// buffer immediately (they are the latency-critical control path;
-/// ordering is preserved because the whole buffer goes over in order).
-class ShardedOp::MergeFeed : public Operator {
- public:
-  MergeFeed(ShardedOp* owner, int shard, size_t cap)
-      : Operator("merge-feed"),
-        owner_(owner),
-        shard_(shard),
-        cap_(cap == 0 ? 1 : cap) {
-    buf_.reserve(cap_);
-  }
+namespace {
 
-  void Push(const Element& e, int /*port*/ = 0) override {
-    bool punct = e.is_punctuation();
-    buf_.push_back(MergeItem{e, shard_, false});
-    if (punct || buf_.size() >= cap_) FlushBuffer();
-  }
+Channel::Options MergeChannelOptions(const ShardedOpOptions& o) {
+  Channel::Options m;
+  // The merge never drops (these are produced results; shedding belongs
+  // at the input), and every chunk wakes it, so it needs no poll.
+  m.limit = static_cast<size_t>(o.shards) * o.queue_limit;
+  m.wake_batch = 1;
+  return m;
+}
 
-  /// Reached by the replica's flush cascade.
-  void Flush() override { FlushBuffer(); }
-
-  /// Batched hand-off from the replica's Emit coalescing.
-  void PushBatch(ElementBatch& batch, int /*port*/) override {
-    buf_.reserve(buf_.size() + batch.size());
-    bool saw_punct = false;
-    for (Element& e : batch) {
-      if (e.is_punctuation()) saw_punct = true;
-      buf_.push_back(MergeItem{std::move(e), shard_, false});
-    }
-    if (saw_punct || buf_.size() >= cap_) FlushBuffer();
-  }
-
-  void FlushBuffer() {
-    if (buf_.empty()) return;
-    owner_->EnqueueMerge(buf_);
-    buf_.clear();
-  }
-
-  /// End-of-shard marker, after the replica's close-out output.
-  void SendDone() {
-    buf_.push_back(MergeItem{Element(), shard_, true});
-    FlushBuffer();
-  }
-
- private:
-  ShardedOp* owner_;
-  int shard_;
-  size_t cap_;
-  std::vector<MergeItem> buf_;
-};
+}  // namespace
 
 ShardedOp::ShardedOp(ShardedOpOptions options, ShardReplicaFactory factory,
                      std::string name)
@@ -68,13 +27,34 @@ ShardedOp::ShardedOp(ShardedOpOptions options, ShardReplicaFactory factory,
       expected_flushes_(options.expected_flushes > 0
                             ? options.expected_flushes
                             : static_cast<int>(options.key_cols.size())),
-      merge_(options.shards, options.routing) {
+      merge_(options.shards, options.routing),
+      merge_in_(MergeChannelOptions(options)),
+      merge_state_bytes_(merge_.StateBytes()) {
   assert(options_.shards > 0);
   states_.reserve(static_cast<size_t>(options_.shards));
   for (int i = 0; i < options_.shards; ++i) {
-    auto st = std::make_unique<ShardState>();
-    st->replica = factory(i);
-    st->feed = std::make_unique<MergeFeed>(this, i, options_.wake_batch);
+    std::unique_ptr<Operator> replica = factory(i);
+    Channel::Options o;
+    o.limit = options_.queue_limit;
+    o.backpressure = options_.backpressure;
+    o.wake_batch = options_.wake_batch;
+    o.consumer = replica.get();
+    if (options_.events != nullptr) {
+      // Runs under the shard channel's lock, which guards `last`.
+      o.on_block = [this, i, last = uint64_t{0}](size_t depth) mutable {
+        const uint64_t now = obs::NowNs();
+        if (now - last < 1000000000ull) return;  // 1/s per shard.
+        last = now;
+        options_.events->Emit(
+            obs::EventKind::kShardStall, options_.event_label,
+            this->name() + " shard " + std::to_string(i) + " queue full (" +
+                std::to_string(depth) + " queued); producer blocked");
+      };
+    }
+    auto st = std::make_unique<ShardState>(std::move(o));
+    st->replica = std::move(replica);
+    st->feed = std::make_unique<ChannelFeed>(&merge_in_, i,
+                                             options_.wake_batch);
     st->replica->SetOutput(st->feed.get());
     st->state_bytes.store(st->replica->StateBytes(),
                           std::memory_order_relaxed);
@@ -106,181 +86,68 @@ void ShardedOp::Push(const Element& e, int port) {
   EnsureStarted();
   int target = router_.Route(e, port);
   if (target == ShardRouter::kBroadcast) {
-    for (int i = 0; i < options_.shards; ++i) {
-      EnqueueShard(i, Item{e, port});
-    }
+    for (auto& st : states_) st->in.Push(ChannelItem{e, port});
     return;
   }
-  EnqueueShard(target, Item{e, port});
-}
-
-bool ShardedOp::EnqueueShard(int shard, Item item) {
-  ShardState& st = *states_[static_cast<size_t>(shard)];
-  std::unique_lock<std::mutex> lock(st.mu);
-  if (stop_.load(std::memory_order_relaxed) || st.closed) return false;
-  const size_t limit = options_.queue_limit;
-  const bool is_punct = item.e.is_punctuation();
-  // Punctuations bypass the limit: a lost watermark stalls the merge's
-  // min rule and every windowed replica behind it.
-  if (limit != 0 && st.q.size() >= limit && !is_punct) {
-    if (options_.backpressure == ShardBackpressure::kDropNewest) {
-      ++st.dropped;
-      return false;
-    }
-    if (options_.events != nullptr) {
-      const uint64_t now = obs::NowNs();
-      if (now - st.last_stall_ns >= 1000000000ull) {  // 1/s per shard.
-        st.last_stall_ns = now;
-        options_.events->Emit(
-            obs::EventKind::kShardStall, options_.event_label,
-            name() + " shard " + std::to_string(shard) + " queue full (" +
-                std::to_string(st.q.size()) + " queued); producer blocked");
-      }
-    }
-    st.not_full.wait(lock, [&] {
-      return stop_.load(std::memory_order_relaxed) || st.closed ||
-             st.q.size() < limit;
-    });
-    if (stop_.load(std::memory_order_relaxed) || st.closed) return false;
-  }
-  st.q.push_back(std::move(item));
-  st.routed.fetch_add(1, std::memory_order_relaxed);
-  if (st.q.size() > st.max_depth) st.max_depth = st.q.size();
-  // Batched wakeup (see ParallelExecutor::Enqueue): the worker only
-  // sleeps on an empty queue, so the threshold is crossed exactly once
-  // per sleep; the worker's poll timeout covers sub-batch trickles.
-  size_t wake = options_.wake_batch == 0 ? 1 : options_.wake_batch;
-  if (limit != 0 && wake > limit) wake = limit;
-  if (is_punct || st.q.size() == wake) st.not_empty.notify_one();
-  return true;
-}
-
-void ShardedOp::EnqueueMerge(std::vector<MergeItem>& items) {
-  std::unique_lock<std::mutex> lock(merge_mu_);
-  const size_t limit = options_.merge_queue_limit;
-  for (MergeItem& item : items) {
-    if (stop_.load(std::memory_order_relaxed)) return;
-    // The merge queue always blocks (never drops): these are produced
-    // results, and losing them would silently corrupt output — load
-    // shedding belongs at the input queues. Punctuations and done
-    // markers bypass the bound.
-    if (limit != 0 && merge_q_.size() >= limit && !item.shard_done &&
-        !item.e.is_punctuation()) {
-      merge_not_empty_.notify_one();
-      merge_not_full_.wait(lock, [&] {
-        return stop_.load(std::memory_order_relaxed) ||
-               merge_q_.size() < limit;
-      });
-      if (stop_.load(std::memory_order_relaxed)) return;
-    }
-    merge_q_.push_back(std::move(item));
-  }
-  merge_not_empty_.notify_one();  // Once per chunk.
+  states_[static_cast<size_t>(target)]->in.Push(ChannelItem{e, port});
 }
 
 void ShardedOp::ShardLoop(int shard) {
   ShardState& st = *states_[static_cast<size_t>(shard)];
   Operator* replica = st.replica.get();
-  const bool columnar = options_.columnar;
-  std::deque<Item> batch;
-  ElementBatch eb;
-  ColumnBatch cb;
-  for (;;) {
-    batch.clear();
-    bool drain = false;
-    {
-      std::unique_lock<std::mutex> lock(st.mu);
-      st.not_empty.wait_for(lock, std::chrono::milliseconds(1), [&] {
-        return stop_.load(std::memory_order_relaxed) || st.closed ||
-               !st.q.empty();
-      });
-      if (stop_.load(std::memory_order_relaxed)) return;
-      if (!st.q.empty()) {
-        batch.swap(st.q);
-      } else if (st.closed) {
-        drain = true;
-      } else {
-        continue;  // Poll timeout with nothing to do.
-      }
-    }
-    if (drain) break;
-    st.not_full.notify_all();
-    auto t0 = std::chrono::steady_clock::now();
-    size_t i = 0;
-    while (i < batch.size()) {
-      const int port = batch[i].port;
-      if (!columnar || !replica->SupportsColumns(port)) {
-        replica->Process(batch[i].e, port);
-        ++i;
-      } else {
-        // Columnar shard: convert the consecutive same-port run once
-        // and fold it column-at-a-time; conversion failure (ragged or
-        // mixed-type rows) falls back to the row batch unchanged.
-        eb.clear();
-        while (i < batch.size() && batch[i].port == port) {
-          eb.push_back(std::move(batch[i].e));
-          ++i;
-        }
-        if (ColumnBatch::FromRows(eb, &cb)) {
-          replica->ProcessColumns(cb, port);
-        } else {
-          replica->ProcessBatch(eb, port);
-        }
-      }
-      if (stop_.load(std::memory_order_relaxed)) return;
-    }
-    // Don't sit on buffered emissions while waiting for the next batch.
-    st.feed->FlushBuffer();
-    auto t1 = std::chrono::steady_clock::now();
-    st.busy_ns.fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count(),
-        std::memory_order_relaxed);
+  // A claim may take the whole bounded queue, delivered as same-port
+  // runs of up to queue_limit rows.
+  const size_t max_batch = options_.queue_limit == 0
+                               ? std::numeric_limits<size_t>::max()
+                               : options_.queue_limit;
+  auto publish = [&] {
     st.state_bytes.store(replica->StateBytes(), std::memory_order_relaxed);
+  };
+  if (!DeliverChannel(st.in, replica, max_batch, options_.columnar,
+                      st.feed.get(), publish)) {
+    return;
   }
-  // Drain: one Flush per input port (binary replicas count flushes),
-  // close-out emissions flow into the merge queue, then the done marker.
+  // Drain: one Flush per input port (binary replicas count flushes);
+  // close-out emissions flow into the merge channel.
   for (int f = 0; f < expected_flushes_; ++f) replica->Flush();
   st.feed->FlushBuffer();
-  st.state_bytes.store(replica->StateBytes(), std::memory_order_relaxed);
-  st.feed->SendDone();
+  publish();
 }
 
 void ShardedOp::MergeLoop() {
-  int done = 0;
-  std::deque<MergeItem> batch;
+  std::deque<ChannelItem> batch;
+  ElementBatch rows;
+  auto merge_one = [this](const Element& e, int shard) {
+    if (e.is_tuple()) merged_tuples_.fetch_add(1, std::memory_order_relaxed);
+    states_[static_cast<size_t>(shard)]->merged.fetch_add(
+        1, std::memory_order_relaxed);
+    merge_.Push(e, shard);
+  };
   for (;;) {
     batch.clear();
-    {
-      std::unique_lock<std::mutex> lock(merge_mu_);
-      merge_not_empty_.wait(lock, [&] {
-        return stop_.load(std::memory_order_relaxed) || !merge_q_.empty();
-      });
-      if (stop_.load(std::memory_order_relaxed)) return;
-      batch.swap(merge_q_);
-    }
-    merge_not_full_.notify_all();
-    for (MergeItem& item : batch) {
-      if (item.shard_done) {
-        ++done;
-        continue;
+    size_t claimed = 0;
+    const Channel::ClaimResult r = merge_in_.Claim(
+        &batch, std::numeric_limits<size_t>::max(), &claimed);
+    if (r == Channel::ClaimResult::kStopped) return;
+    if (r == Channel::ClaimResult::kClosed) break;
+    if (r == Channel::ClaimResult::kIdle) continue;
+    for (ChannelItem& item : batch) {
+      if (item.cols != nullptr) {
+        rows.clear();
+        item.cols->MaterializeRows(&rows);
+        for (const Element& e : rows) merge_one(e, item.port);
+      } else {
+        merge_one(item.e, item.port);
       }
-      if (item.e.is_tuple()) {
-        merged_tuples_.fetch_add(1, std::memory_order_relaxed);
-      }
-      states_[static_cast<size_t>(item.shard)]->merged.fetch_add(
-          1, std::memory_order_relaxed);
-      merge_.Push(item.e, item.shard);
-      if (stop_.load(std::memory_order_relaxed)) return;
+      if (merge_in_.stopped()) return;
     }
-    if (done >= options_.shards) {
-      // Every shard flushed and its marker is behind all its output
-      // (per-shard FIFO), so the tail is fully forwarded. The Nth merge
-      // flush forwards one Flush downstream, on this thread — the only
-      // thread that ever touched downstream.
-      for (int i = 0; i < options_.shards; ++i) merge_.Flush();
-      return;
-    }
+    merge_state_bytes_.store(merge_.StateBytes(), std::memory_order_relaxed);
   }
+  // Closed only after every shard worker was joined, so the tail is
+  // fully forwarded. The Nth merge flush forwards one Flush downstream,
+  // on this thread — the only thread that ever touched downstream.
+  for (int i = 0; i < options_.shards; ++i) merge_.Flush();
+  merge_state_bytes_.store(merge_.StateBytes(), std::memory_order_relaxed);
 }
 
 void ShardedOp::Flush() {
@@ -294,17 +161,11 @@ void ShardedOp::Flush() {
 }
 
 void ShardedOp::DrainAndJoin() {
-  for (auto& st : states_) {
-    {
-      std::lock_guard<std::mutex> lock(st->mu);
-      st->closed = true;
-    }
-    st->not_empty.notify_all();
-    st->not_full.notify_all();
-  }
+  for (auto& st : states_) st->in.Close();
   for (auto& st : states_) {
     if (st->worker.joinable()) st->worker.join();
   }
+  merge_in_.Close();
   if (merge_worker_.joinable()) merge_worker_.join();
   running_.store(false, std::memory_order_release);
   // Mirror the merge's out-counters into this op's stats so StatsString
@@ -314,17 +175,8 @@ void ShardedOp::DrainAndJoin() {
 }
 
 void ShardedOp::StopAndJoin() {
-  stop_.store(true, std::memory_order_release);
-  for (auto& st : states_) {
-    std::lock_guard<std::mutex> lock(st->mu);
-    st->not_empty.notify_all();
-    st->not_full.notify_all();
-  }
-  {
-    std::lock_guard<std::mutex> lock(merge_mu_);
-    merge_not_empty_.notify_all();
-    merge_not_full_.notify_all();
-  }
+  for (auto& st : states_) st->in.Stop();
+  merge_in_.Stop();
   for (auto& st : states_) {
     if (st->worker.joinable()) st->worker.join();
   }
@@ -333,7 +185,8 @@ void ShardedOp::StopAndJoin() {
 }
 
 size_t ShardedOp::StateBytes() const {
-  size_t bytes = sizeof(*this) + merge_.StateBytes();
+  size_t bytes =
+      sizeof(*this) + merge_state_bytes_.load(std::memory_order_relaxed);
   for (const auto& st : states_) {
     bytes += st->state_bytes.load(std::memory_order_relaxed);
   }
@@ -342,16 +195,15 @@ size_t ShardedOp::StateBytes() const {
 
 ShardStats ShardedOp::shard_stats(int i) const {
   const ShardState& st = *states_[static_cast<size_t>(i)];
+  const ChannelStats c = st.in.Stats();
   ShardStats out;
-  out.routed = st.routed.load(std::memory_order_relaxed);
+  out.routed = c.accepted;
   out.merged = st.merged.load(std::memory_order_relaxed);
-  out.busy_time =
-      static_cast<double>(st.busy_ns.load(std::memory_order_relaxed)) * 1e-9;
+  out.dropped = c.dropped;
+  out.queue_depth = c.depth;
+  out.max_queue_depth = c.max_depth;
+  out.busy_time = static_cast<double>(c.busy_ns) * 1e-9;
   out.state_bytes = st.state_bytes.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(st.mu);
-  out.dropped = st.dropped;
-  out.queue_depth = st.q.size();
-  out.max_queue_depth = st.max_depth;
   return out;
 }
 
@@ -359,7 +211,7 @@ double ShardedOp::SkewRatio() const {
   uint64_t total = 0;
   uint64_t peak = 0;
   for (const auto& st : states_) {
-    uint64_t r = st->routed.load(std::memory_order_relaxed);
+    uint64_t r = st->in.Stats().accepted;
     total += r;
     peak = std::max(peak, r);
   }
@@ -371,10 +223,7 @@ double ShardedOp::SkewRatio() const {
 
 uint64_t ShardedOp::dropped() const {
   uint64_t n = 0;
-  for (const auto& st : states_) {
-    std::lock_guard<std::mutex> lock(st->mu);
-    n += st->dropped;
-  }
+  for (const auto& st : states_) n += st->in.Stats().dropped;
   return n;
 }
 

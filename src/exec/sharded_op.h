@@ -2,16 +2,14 @@
 #define SQP_EXEC_SHARDED_OP_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exec/channel.h"
 #include "exec/exchange.h"
 #include "exec/operator.h"
 #include "obs/event_log.h"
@@ -34,12 +32,12 @@ struct ShardedOpOptions {
   /// list on a partitioned port routes round-robin.
   std::vector<std::vector<int>> key_cols = {{}};
   /// Bound of each shard's input queue in elements (0 = unbounded).
+  /// The merge (fan-in) queue is bounded at shards x queue_limit and
+  /// always blocks: shard workers block on it, the merge worker never
+  /// blocks on shards, so there is no cycle to deadlock.
   size_t queue_limit = 1024;
-  ShardBackpressure backpressure = ShardBackpressure::kBlock;
-  /// Bound of the merge (fan-in) queue in elements (0 = unbounded).
-  /// Shard workers block on it; the merge worker never blocks on
-  /// shards, so there is no cycle to deadlock.
-  size_t merge_queue_limit = 4096;
+  /// Full-shard-queue policy (the merge never drops produced results).
+  Backpressure backpressure = Backpressure::kBlock;
   /// Producer wakes a shard worker only once this many elements are
   /// queued (punctuations and queue-full wake immediately); workers
   /// also poll on a ~1ms timeout so a sub-batch trickle is bounded.
@@ -50,8 +48,8 @@ struct ShardedOpOptions {
   /// Columnar delivery inside each shard: the worker converts every
   /// claimed same-port run into a ColumnBatch (ColumnBatch::FromRows)
   /// and hands it to the replica as one ProcessColumns call, falling
-  /// back to per-element Process when conversion fails or the replica
-  /// does not support columns on that port. Routing and the merge stay
+  /// back to ProcessBatch when conversion fails or the replica does not
+  /// support columns on that port. Routing and the merge stay
   /// row-based — the hash exchange reads per-row keys and the merge
   /// re-serializes per element, so those are natural materialization
   /// boundaries.
@@ -103,10 +101,11 @@ struct ShardStats {
 ///    CollectStats) are safe from any thread while running.
 ///
 /// Flush protocol: the Nth input-side Flush (one per input port) closes
-/// the shard queues; each worker drains its backlog, flushes its
-/// replica (close-out emissions flow into the merge queue) and exits;
-/// the merge worker forwards the tail, flushes downstream, and exits;
-/// Flush returns after joining them all — results are safe to read.
+/// the shard channels; each worker drains its backlog, flushes its
+/// replica (close-out emissions flow into the merge channel) and exits;
+/// once every shard worker is joined the merge channel is closed, the
+/// merge worker forwards the tail, flushes downstream, and exits; Flush
+/// returns after joining it — results are safe to read.
 ///
 /// Equivalence: with disjoint routing over the partition keys (or
 /// replicated routing for joins), the merged output is the serial
@@ -154,40 +153,19 @@ class ShardedOp : public Operator {
                     const obs::LabelSet& base_labels) const;
 
  private:
-  class MergeFeed;
-
-  struct Item {
-    Element e;
-    int port;
-  };
-  /// One shard's queue + worker + replica + counters.
+  /// One shard: its input channel, worker, replica, and the feed that
+  /// carries the replica's output into the merge channel.
   struct ShardState {
-    mutable std::mutex mu;
-    std::condition_variable not_empty;
-    std::condition_variable not_full;
-    std::deque<Item> q;
-    bool closed = false;
-    uint64_t dropped = 0;
-    uint64_t max_depth = 0;
-    /// Last kShardStall emission (ns, guarded by mu) — rate limiter.
-    uint64_t last_stall_ns = 0;
-    std::atomic<uint64_t> routed{0};
+    explicit ShardState(Channel::Options o) : in(std::move(o)) {}
+    Channel in;
     std::atomic<uint64_t> merged{0};
-    std::atomic<uint64_t> busy_ns{0};
     std::atomic<size_t> state_bytes{0};
     std::unique_ptr<Operator> replica;
-    std::unique_ptr<MergeFeed> feed;  // Replica output -> merge queue.
+    std::unique_ptr<ChannelFeed> feed;
     std::thread worker;
-  };
-  struct MergeItem {
-    Element e;
-    int shard;
-    bool shard_done;
   };
 
   void EnsureStarted();
-  bool EnqueueShard(int shard, Item item);
-  void EnqueueMerge(std::vector<MergeItem>& items);
   void ShardLoop(int shard);
   void MergeLoop();
   void DrainAndJoin();
@@ -196,18 +174,17 @@ class ShardedOp : public Operator {
   ShardedOpOptions options_;
   ShardRouter router_;
   int expected_flushes_;
-  std::vector<std::unique_ptr<ShardState>> states_;
   ShardMergeOp merge_;
-
-  std::mutex merge_mu_;
-  std::condition_variable merge_not_empty_;
-  std::condition_variable merge_not_full_;
-  std::deque<MergeItem> merge_q_;
+  /// Fan-in of every shard's output; item port = originating shard.
+  Channel merge_in_;
+  /// merge_.StateBytes(), published by the merge worker after each
+  /// claim: the merge's state is only ever read on that thread.
+  std::atomic<size_t> merge_state_bytes_{0};
+  std::atomic<uint64_t> merged_tuples_{0};
+  std::vector<std::unique_ptr<ShardState>> states_;
   std::thread merge_worker_;
 
   std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> merged_tuples_{0};
   bool started_ = false;
   int flushes_seen_ = 0;
 };

@@ -51,8 +51,7 @@ struct ShardPlanOptions {
   /// replicated regardless of this preference.
   ShardRouting routing = ShardRouting::kDisjoint;
   size_t queue_limit = 1024;
-  ShardBackpressure backpressure = ShardBackpressure::kBlock;
-  size_t merge_queue_limit = 4096;
+  Backpressure backpressure = Backpressure::kBlock;
   size_t wake_batch = 64;
   /// Columnar delivery inside each shard (ShardedOpOptions::columnar):
   /// replicas that support columns fold converted runs column-at-a-time.

@@ -2,31 +2,18 @@
 #define SQP_SCHED_PARALLEL_EXECUTOR_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "exec/channel.h"
 #include "exec/operator.h"
 #include "sched/stage_stats.h"
 
 namespace sqp {
 
-/// What a stage's bounded input queue does when it is full.
-enum class Backpressure {
-  /// Producer blocks until the stage's worker frees a slot — loss-free,
-  /// propagates pressure upstream (the punctuation/feedback style of
-  /// inter-operator flow control).
-  kBlock,
-  /// The arriving element is dropped and counted — the classic DSMS
-  /// overload response (load shedding at the queue).
-  kDropNewest,
-};
-
 /// Runs a linear chain of operators with one worker thread per stage,
-/// connected by bounded queues — the threaded counterpart of
+/// connected by bounded Channels — the threaded counterpart of
 /// QueuedExecutor, trading its explicit scheduling policy for actual
 /// pipeline parallelism.
 ///
@@ -116,7 +103,7 @@ class ParallelExecutor {
   void Stop();
 
   bool running() const { return running_; }
-  size_t num_stages() const { return stages_.size(); }
+  size_t num_stages() const { return states_.size(); }
 
   /// Snapshot of one stage's counters (safe to call while running).
   sched::StageStats stage_stats(size_t i) const;
@@ -132,70 +119,21 @@ class ParallelExecutor {
   size_t QueuedElements() const;
 
  private:
-  /// One queue slot: either a single row element (`cols == nullptr`) or
-  /// a whole columnar batch crossing the stage boundary without
-  /// materialization. Queue accounting (limits, depths, enqueued/
-  /// processed/dropped counters) is in *elements*: a columnar item
-  /// weighs its live rows plus punctuation slots, so `queue_limit`
-  /// bounds the same quantity either way.
-  struct Item {
-    Element e;
-    int port = 0;
-    std::unique_ptr<ColumnBatch> cols;
-    /// Enqueue timestamp for queue-wait attribution; stamped only when
-    /// the receiving stage's operator has a profile bound (0 = unstamped
-    /// — profiling disabled, no clock read on the hand-off path).
-    uint64_t enq_ns = 0;
-
-    /// Element count this item charges against queue accounting (min 1
-    /// so even a fully-filtered columnar batch holds a queue slot).
-    size_t Weight() const {
-      if (cols == nullptr) return 1;
-      size_t w = cols->ActiveRows() + cols->puncts.size();
-      return w == 0 ? 1 : w;
-    }
-  };
-
-  /// One stage's queue + worker + counters. Counters written by the
-  /// owning threads under `mu` or as relaxed atomics (read-mostly
-  /// snapshots); the queue itself is mutex+condvar, with batched pops so
-  /// the lock is taken once per batch, not per element.
+  /// One stage: its input channel, its worker, and the feed that carries
+  /// its operator's output into the next stage's channel (null on the
+  /// last stage).
   struct StageState {
+    StageState(Stage c, Channel::Options o) : cfg(c), in(std::move(o)) {}
     Stage cfg;
-    mutable std::mutex mu;
-    std::condition_variable not_empty;
-    std::condition_variable not_full;
-    std::deque<Item> q;
-    /// Sum of item weights in `q` (elements, not slots): what limits,
-    /// wake thresholds and depth counters measure. Guarded by mu.
-    size_t q_rows = 0;
-    /// No further input will ever be enqueued (drain cascade reached us).
-    bool closed = false;
-    // Counters (guarded by mu except busy_ns, owned by the worker).
-    uint64_t enqueued = 0;
-    uint64_t processed = 0;
-    uint64_t batches = 0;  // ProcessBatch deliveries (0 if max_batch <= 1).
-    uint64_t dropped = 0;
-    uint64_t max_depth = 0;
-    std::atomic<uint64_t> busy_ns{0};
+    Channel in;
+    std::unique_ptr<ChannelFeed> out;
     std::thread worker;
   };
 
-  class Relay;
-
-  bool Enqueue(size_t stage, Item item);
-  /// Appends a whole chunk under one lock acquisition (the relay path):
-  /// honors the limit per element, counts kDropNewest drops, and wakes
-  /// the consumer once per chunk instead of once per element.
-  void EnqueueBatch(size_t stage, std::vector<Item>& items);
-  void CloseStage(size_t stage);
   void WorkerLoop(size_t stage);
 
-  std::vector<Stage> stages_;
   std::vector<std::unique_ptr<StageState>> states_;
-  std::vector<std::unique_ptr<Relay>> relays_;
   Operator* sink_;
-  std::atomic<bool> stop_{false};
   bool started_ = false;
   std::atomic<bool> running_{false};
 };

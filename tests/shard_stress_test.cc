@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "exec/plan.h"
 #include "exec/sharded_op.h"
 #include "exec/window_join.h"
+#include "obs/event_log.h"
 #include "obs/registry.h"
 
 namespace sqp {
@@ -21,6 +24,28 @@ namespace {
 TupleRef T(int64_t ts, int64_t key, int64_t payload = 0) {
   return MakeTuple(ts, {Value(ts), Value(key), Value(payload)});
 }
+
+/// Forwards everything: every replica re-emits each CloseKey, so the
+/// replicated-routing merge holds and releases its dedup entries.
+class PassThroughOp : public Operator {
+ public:
+  PassThroughOp() : Operator("pass") {}
+  void Push(const Element& e, int /*port*/ = 0) override {
+    CountIn(e);
+    Emit(e);
+  }
+};
+
+/// Pass-through that takes about a millisecond per element.
+class SlowPassOp : public Operator {
+ public:
+  SlowPassOp() : Operator("slow-pass") {}
+  void Push(const Element& e, int /*port*/ = 0) override {
+    CountIn(e);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    Emit(e);
+  }
+};
 
 GroupByOptions Grouping() {
   GroupByOptions g;
@@ -77,8 +102,7 @@ TEST(ShardStressTest, TinyQueuesBlockWithoutDeadlockOrLoss) {
   ShardedOpOptions so;
   so.shards = 3;
   so.key_cols = {{1}, {1}};
-  so.queue_limit = 4;        // Force constant producer blocking.
-  so.merge_queue_limit = 4;  // And merge-side blocking too.
+  so.queue_limit = 4;  // Constant producer blocking; merge bound 3 x 4.
   so.wake_batch = 2;
   BinaryWindowJoinOp::Options j;
   j.left_cols = {1};
@@ -107,7 +131,7 @@ TEST(ShardStressTest, DropNewestShedsButNeverDropsPunctuations) {
   so.shards = 2;
   so.key_cols = {{1}};
   so.queue_limit = 2;
-  so.backpressure = ShardBackpressure::kDropNewest;
+  so.backpressure = Backpressure::kDropNewest;
   so.wake_batch = 64;  // Larger than the queue: the limit must wake.
   // A deliberately slow replica so queues overflow: every tuple rescans
   // a growing window.
@@ -180,6 +204,107 @@ TEST(ShardStressTest, ReusableAcrossManyShortRuns) {
     sharded->Flush();
     EXPECT_FALSE(sharded->running());
     EXPECT_GT(sink->tuples(), 0u);
+  }
+}
+
+TEST(ShardStressTest, StateBytesRacesReplicatedMergeDedup) {
+  // Under replicated routing every CloseKey reaches all shards, and the
+  // merge thread inserts and erases its dedup entry per key. StateBytes
+  // is documented as safe from any thread while that happens.
+  Plan plan;
+  ShardedOpOptions so;
+  so.shards = 3;
+  so.routing = ShardRouting::kReplicated;
+  so.key_cols = {{1}};
+  so.wake_batch = 4;
+  auto* sharded = plan.Make<ShardedOp>(
+      so, [](int) { return std::make_unique<PassThroughOp>(); });
+  auto* sink = plan.Make<CollectorSink>();
+  sharded->SetOutput(sink);
+
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    size_t bytes = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      bytes += sharded->StateBytes();
+    }
+    EXPECT_GT(bytes, 0u);
+  });
+
+  constexpr int kKeys = 3000;
+  for (int k = 0; k < kKeys; ++k) {
+    sharded->Push(Element(T(k, k)), 0);
+    sharded->Push(Element(Punctuation::CloseKey(k, Value(int64_t{k}))), 0);
+  }
+  sharded->Flush();
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  // Each key's close was deduplicated to exactly one forward, so the
+  // merge ends with no pending entries.
+  size_t closes = 0;
+  for (const Punctuation& p : sink->punctuations()) {
+    if (p.has_key) ++closes;
+  }
+  EXPECT_EQ(closes, static_cast<size_t>(kKeys));
+  EXPECT_EQ(sink->count(), static_cast<size_t>(kKeys));
+}
+
+TEST(ShardStressTest, BlockedProducerEmitsRateLimitedShardStall) {
+  obs::EventLog events;
+  Plan plan;
+  ShardedOpOptions so;
+  so.shards = 2;
+  so.key_cols = {{1}};
+  so.queue_limit = 2;  // A 1ms-per-element replica keeps these full.
+  so.events = &events;
+  so.event_label = "q7";
+  auto* sharded = plan.Make<ShardedOp>(
+      so, [](int) { return std::make_unique<SlowPassOp>(); }, "sharded(slow)");
+  auto* sink = plan.Make<CountingSink>();
+  sharded->SetOutput(sink);
+
+  // One key per shard, so each burst below lands on a single shard and
+  // the producer keeps blocking on that shard's full queue.
+  ShardRouter router(2, ShardRouting::kDisjoint, {{1}});
+  int64_t key_of[2] = {-1, -1};
+  for (int64_t k = 0; key_of[0] < 0 || key_of[1] < 0; ++k) {
+    key_of[router.Route(Element(T(0, k)), 0)] = k;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  constexpr int kPerShard = 60;
+  for (int s = 0; s < 2; ++s) {
+    for (int i = 0; i < kPerShard; ++i) {
+      sharded->Push(Element(T(s * kPerShard + i, key_of[s])), 0);
+    }
+  }
+  sharded->Flush();
+  const double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_EQ(sink->tuples(), static_cast<uint64_t>(2 * kPerShard));
+
+  // The producer blocked on both shards many times, but each shard
+  // reports at most one stall per second.
+  int per_shard[2] = {0, 0};
+  for (const obs::EngineEvent& ev : events.Tail()) {
+    ASSERT_EQ(ev.kind, obs::EventKind::kShardStall);
+    EXPECT_EQ(ev.query, "q7");
+    EXPECT_NE(ev.message.find("producer blocked"), std::string::npos);
+    for (int s = 0; s < 2; ++s) {
+      if (ev.message.find("sharded(slow) shard " + std::to_string(s) +
+                          " ") != std::string::npos) {
+        ++per_shard[s];
+      }
+    }
+  }
+  const int allowed = 1 + static_cast<int>(elapsed_s);
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_GE(per_shard[s], 1) << "shard " << s;
+    EXPECT_LE(per_shard[s], allowed) << "shard " << s;
+  }
+  if (elapsed_s < 1.0) {
+    EXPECT_EQ(per_shard[0] + per_shard[1], 2);
   }
 }
 
