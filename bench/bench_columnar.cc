@@ -35,7 +35,6 @@
 #include "exec/plan.h"
 #include "exec/project.h"
 #include "exec/select.h"
-#include "obs/op_metrics.h"
 #include "sched/parallel_executor.h"
 #include "stream/element_batch.h"
 
@@ -142,9 +141,8 @@ RunResult Run(const std::vector<Element>& input, const RunConfig& cfg) {
   std::vector<Operator*> chain =
       BuildChain(&plan, cfg.vcol, cfg.proj1, cfg.proj2);
   auto* sink = plan.Make<CountingSink>();
-  std::vector<obs::OpMetrics> metrics(chain.size());
   if (cfg.metrics) {
-    for (size_t i = 0; i < chain.size(); ++i) chain[i]->Bind(&metrics[i]);
+    for (Operator* op : chain) op->Instrument();
   }
   std::vector<ParallelExecutor::Stage> stages;
   for (Operator* op : chain) {

@@ -1,16 +1,17 @@
-// E22 — query profiler overhead. The sqp::obs::OpProfile slots behind
-// EXPLAIN ANALYZE promise the same deal OpMetrics made in E15: an
-// unbound operator pays one pointer load + branch per delivery, and a
-// bound one pays a couple of relaxed RMWs (plus a clock read only on
-// the rare watermark path). This binary measures the four-stage
+// E22 — query profiler overhead. Every operator carries one record
+// (sqp::obs::OpMetrics) that both \metrics and EXPLAIN ANALYZE read: an
+// uninstrumented operator pays one flag branch per delivery plus plain
+// count stores, an instrumented one takes the timed path (sampled
+// clock reads, delivery counts, a clock read on the rare watermark
+// path). The profiler adds only a per-query tree over those records and
+// a source-side watermark tap. This binary measures the four-stage
 // select->select->project->project chain (the E16 shape — the cheapest
 // real operators, i.e. the worst case for relative overhead) across
 // the ladder of configurations, then prices the scrape side: profile
 // snapshot + render, and the event log.
 //
-// Acceptance gates (CI, full run): 'disabled' (nothing bound) < 3%
-// over the raw Push baseline; 'metrics + profiler' < 10% over
-// 'disabled'.
+// Acceptance gates (CI, full run): 'disabled' (nothing instrumented)
+// < 3% over the raw Push baseline; 'profiler vs metrics bound' < 10%.
 
 #include <benchmark/benchmark.h>
 
@@ -26,7 +27,7 @@
 #include "exec/project.h"
 #include "exec/select.h"
 #include "obs/event_log.h"
-#include "obs/op_profile.h"
+#include "obs/op_metrics.h"
 #include "obs/registry.h"
 #include "stream/generators.h"
 
@@ -57,10 +58,10 @@ std::vector<Element> MakeInput(uint64_t n, uint64_t punct_every) {
 }
 
 enum class Mode {
-  kDirectPush,      // Pre-instrumentation entry point.
-  kDisabled,        // Process(), nothing bound (the shipped default).
-  kMetrics,         // OpMetrics bound (the \metrics path).
-  kMetricsProfile,  // OpMetrics + OpProfile bound (EXPLAIN ANALYZE).
+  kDirectPush,  // Pre-instrumentation entry point.
+  kDisabled,    // Process(), nothing instrumented (the shipped default).
+  kMetrics,     // Plan::BindMetrics: records published, timed path.
+  kProfiled,    // + QueryProfiler tree and source watermark tap.
 };
 
 struct ChainRun {
@@ -91,10 +92,10 @@ ChainRun RunChain(const std::vector<Element>& input, Mode mode) {
   obs::MetricsRegistry reg;
   obs::QueryProfiler profiler;
   obs::QueryProfiler::SourceWatermark* src = nullptr;
-  if (mode == Mode::kMetrics || mode == Mode::kMetricsProfile) {
+  if (mode == Mode::kMetrics || mode == Mode::kProfiled) {
     plan.BindMetrics(reg, "e22");
   }
-  if (mode == Mode::kMetricsProfile) {
+  if (mode == Mode::kProfiled) {
     src = profiler.Register("e22", "select ... x4 chain");
     profiler.BindPlan("e22", plan);
   }
@@ -126,7 +127,7 @@ void PrintOverheadTable() {
   std::vector<Element> input = MakeInput(n, 1024);
 
   const Mode modes[] = {Mode::kDirectPush, Mode::kDisabled, Mode::kMetrics,
-                        Mode::kMetricsProfile};
+                        Mode::kProfiled};
   const char* names[] = {"entry via Push() (no hooks)",
                          "disabled (unbound Process)", "metrics bound",
                          "metrics + profiler"};
@@ -180,10 +181,11 @@ void PrintOverheadTable() {
   std::printf(
       "note: overhead %% is the per-rep paired ratio vs the same rep's\n"
       "Push baseline (median rep on full runs, min under --smoke); the\n"
-      "last row pairs profiler-on against metrics-only instead, because\n"
-      "the StreamEngine always binds metrics at Submit — that row is the\n"
-      "marginal cost of EXPLAIN ANALYZE on a live engine query, and the\n"
-      "metrics rows carry E15's known clock-read cost. Acceptance gates:\n"
+      "last row pairs profiler-on against metrics-only instead. Both run\n"
+      "the same instrumented operators over one record per operator, so\n"
+      "that row is the marginal cost of the profiler's source watermark\n"
+      "tap and tree on a live engine query; the metrics rows carry E15's\n"
+      "known clock-read cost. Acceptance gates:\n"
       "'disabled (unbound Process)' < 3%% over baseline; 'profiler vs\n"
       "metrics bound' < 10%%.\n");
 }
@@ -257,24 +259,24 @@ void PrintScrapeCosts() {
   t.Print("E22: scrape-side cost (profile snapshot, event log)");
 }
 
-void BM_OpProfileWatermarkForward(benchmark::State& state) {
-  obs::OpProfile p;
+void BM_OpMetricsWatermarkForward(benchmark::State& state) {
+  obs::OpMetrics p;
   int64_t ts = 0;
   for (auto _ : state) {
     p.OnWatermarkForward(ts++);
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_OpProfileWatermarkForward);
+BENCHMARK(BM_OpMetricsWatermarkForward);
 
-void BM_OpProfileCountSingle(benchmark::State& state) {
-  obs::OpProfile p;
+void BM_OpMetricsCountSingle(benchmark::State& state) {
+  obs::OpMetrics p;
   for (auto _ : state) {
     p.CountSingle();
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_OpProfileCountSingle);
+BENCHMARK(BM_OpMetricsCountSingle);
 
 void BM_EventLogEmit(benchmark::State& state) {
   obs::EventLog log(1024);

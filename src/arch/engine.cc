@@ -110,7 +110,7 @@ Result<QueryHandle*> StreamEngine::Submit(const std::string& query_text,
       handle->latency_hist_, &handle->pending_ingest_ns_);
   handle->query_->AttachSink(handle->tee_.get());
 
-  // Profile the query: one OpProfile slot per plan operator plus a
+  // Profile the query: a tree over the plan operators' records plus a
   // source-side watermark tap. After AttachSink so the plan root has
   // its outward edge (BindPlan's liveness walk reads output()).
   if (metrics_enabled_) {
@@ -307,9 +307,9 @@ Status StreamEngine::EnableSharding(QueryHandle* handle,
 
   const std::string label = LabelFor(handle);
   // The rewrite spliced new operators (each ShardedOp) into the plan:
-  // re-bind metrics (existing slots are reused, the ShardedOps get
-  // fresh ones) and re-walk the profile tree, which also drops the
-  // disconnected originals from the EXPLAIN ANALYZE view.
+  // re-publish the plan's records and re-walk the profile tree, which
+  // also drops the disconnected originals from the EXPLAIN ANALYZE view.
+  // Nothing is lost: sharding refuses once ingest has started.
   if (metrics_enabled_ && handle->profile_source_ != nullptr) {
     q->plan().BindMetrics(metrics_, label);
     profiler_.BindPlan(label, q->plan());
@@ -574,24 +574,18 @@ Status StreamEngine::Remove(QueryHandle* handle) {
     }
   }
 
-  // Collectors capture the handle or its executor; RemoveCollector
-  // barriers on any snapshot in flight, so after these return nothing
-  // can observe the dying query.
+  // Collectors capture the handle or its executor, the registry and the
+  // profiler point at the plan's operator records: RemoveCollector,
+  // RemoveQuery and Unregister barrier on any snapshot in flight, so
+  // after these return nothing can observe the dying query. RemoveQuery
+  // also drops the per-query latency histogram.
   if (!handle->metrics_label_.empty()) {
     const std::string& label = handle->metrics_label_;
     metrics_.RemoveCollector("stages:" + label);
     metrics_.RemoveCollector("shards:" + label);
     metrics_.RemoveCollector("shed:" + label);
-  }
-
-  // Detach the profile slots before their storage goes: the query is
-  // drained (workers joined above), so no operator thread can still be
-  // writing through them. Unregister barriers on in-flight snapshots.
-  if (handle->profile_source_ != nullptr) {
-    for (const auto& op : handle->query_->plan().operators()) {
-      op->BindProfile(nullptr);
-    }
-    profiler_.Unregister(handle->metrics_label_);
+    metrics_.RemoveQuery(label);
+    profiler_.Unregister(label);
   }
   events_.Emit(obs::EventKind::kQueryStop, handle->metrics_label_,
                handle->text_);

@@ -488,15 +488,14 @@ class StreamEngine {
 
   cql::Catalog catalog_;
   std::map<std::string, StreamOptions> stream_options_;
-  // Outlives queries_ (destroyed later), so operators can report to
-  // their bound OpMetrics slots up to their last Flush. Collectors that
-  // reference per-query executors are only invoked via TakeSnapshot,
-  // never during destruction.
+  // Outlives queries_ (destroyed later): the latency histograms TeeSinks
+  // observe into live here, and it points at the operators' records
+  // until Remove drops them. Collectors that reference per-query
+  // executors are only invoked via TakeSnapshot, never during
+  // destruction.
   obs::MetricsRegistry metrics_;
   // Like metrics_, both outlive queries_ (declared before, destroyed
-  // after): operators hold OpProfile* slots into profiler_ entries and
-  // write through them up to their final Flush, and teardown paths emit
-  // events until the last handle dies.
+  // after): teardown paths emit events until the last handle dies.
   obs::EventLog events_;
   obs::QueryProfiler profiler_;
   std::map<std::string, obs::Counter*> ingest_counters_;

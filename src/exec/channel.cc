@@ -61,8 +61,8 @@ bool Channel::Push(ChannelItem item) {
     }
   }
   // Queue-wait stamping is pay-for-what-you-profile: no clock read
-  // unless the consuming operator has a profile slot bound.
-  if (consumer_ != nullptr && consumer_->profile() != nullptr) {
+  // unless the consuming operator is instrumented.
+  if (consumer_ != nullptr && consumer_->instrumented()) {
     item.enq_ns = obs::NowNs();
   }
   const uint64_t before = depth_;
@@ -85,7 +85,7 @@ void Channel::PushChunk(std::vector<ChannelItem>& items) {
     refused_ += chunk;
     return;
   }
-  if (consumer_ != nullptr && consumer_->profile() != nullptr) {
+  if (consumer_ != nullptr && consumer_->instrumented()) {
     const uint64_t now = obs::NowNs();  // One clock read per chunk.
     for (ChannelItem& item : items) item.enq_ns = now;
   }
@@ -259,11 +259,10 @@ bool DeliverChannel(Channel& in, Operator* op, size_t max_batch,
       case Channel::ClaimResult::kItems:
         break;
     }
-    if (obs::OpMetrics* m = op->metrics()) {
-      m->IncBatches();
-      m->UpdateQueueDepth(claimed);
-    }
-    if (obs::OpProfile* p = op->profile()) {
+    if (op->instrumented()) {
+      obs::OpMetrics& m = op->metrics();
+      m.IncBatches();
+      m.UpdateQueueDepth(claimed);
       // One clock read per claim: how long the claimed items sat in the
       // channel (producer-stamped at enqueue).
       const uint64_t now = obs::NowNs();
@@ -274,7 +273,7 @@ bool DeliverChannel(Channel& in, Operator* op, size_t max_batch,
           ++stamped;
         }
       }
-      if (stamped != 0) p->AddQueueWait(wait, stamped);
+      if (stamped != 0) m.AddQueueWait(wait, stamped);
     }
     const auto t0 = std::chrono::steady_clock::now();
     uint64_t deliveries = 0;

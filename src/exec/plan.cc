@@ -6,12 +6,13 @@ namespace sqp {
 
 void Plan::BindMetrics(obs::MetricsRegistry& registry,
                        const std::string& query_label) {
-  int index = 0;
+  std::vector<obs::MetricsRegistry::OpRef> refs;
+  refs.reserve(ops_.size());
   for (const auto& op : ops_) {
-    op->Bind(registry.GetOpMetrics(query_label, op->name(), index),
-             registry.tracer());
-    ++index;
+    op->Instrument(registry.tracer());
+    refs.push_back({op->name(), static_cast<int>(refs.size()), &op->metrics()});
   }
+  registry.SetOps(query_label, std::move(refs));
 }
 
 size_t Plan::TotalStateBytes() const {
@@ -23,7 +24,7 @@ size_t Plan::TotalStateBytes() const {
 std::string Plan::StatsString() const {
   std::string out;
   for (const auto& op : ops_) {
-    const OperatorStats& s = op->stats();
+    const obs::OpStats s = op->stats();
     out += StrFormat("%-16s in=%llu out=%llu sel=%.4f state=%zuB\n",
                      op->name().c_str(),
                      static_cast<unsigned long long>(s.tuples_in),

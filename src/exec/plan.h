@@ -40,10 +40,13 @@ class Plan {
     return ops_;
   }
 
-  /// Instruments every operator in the plan: each gets an OpMetrics
-  /// slot in `registry` labeled (query_label, op name, plan index) plus
-  /// the registry's tracer, so a whole plan reports to the engine-wide
-  /// registry with one call and zero per-operator code.
+  /// Instruments every operator in the plan (with the registry's
+  /// tracer) and publishes their records in `registry` labeled
+  /// (query_label, op name, plan index), replacing any rows published
+  /// under the label before — a whole plan reports to the engine-wide
+  /// registry with one call and zero per-operator code. The plan must
+  /// outlive the rows: call registry.RemoveQuery(query_label) before
+  /// destroying it if the registry lives on.
   void BindMetrics(obs::MetricsRegistry& registry,
                    const std::string& query_label);
 

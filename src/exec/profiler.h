@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -14,40 +13,30 @@
 
 #include "exec/plan.h"
 #include "obs/op_metrics.h"
-#include "obs/op_profile.h"
 #include "obs/snapshot.h"
 
 namespace sqp {
 namespace obs {
 
-/// One operator row of a query profile snapshot. Rows are in pre-order
-/// over the plan tree: the root is the sink-most operator, a row at
-/// depth d is an input of the nearest preceding row at depth d-1.
-struct OpProfileRow {
+/// One operator row of a query profile snapshot: the operator's record
+/// (the same numbers `\metrics` renders, so EXPLAIN ANALYZE always sums
+/// consistently with the registry) plus its place in the tree and the
+/// derived figures. Rows are in pre-order over the plan tree: the root
+/// is the sink-most operator, a row at depth d is an input of the
+/// nearest preceding row at depth d-1.
+struct OpProfileRow : OpStats {
   std::string op;
   int index = 0;  // Plan position (disambiguates duplicate names).
   int depth = 0;
 
-  // Row counters from the operator's OpMetrics slot (zero when metrics
-  // were not bound) — the same atomics `\metrics` renders, so EXPLAIN
-  // ANALYZE always sums consistently with the registry.
-  uint64_t tuples_in = 0;
-  uint64_t tuples_out = 0;
-  uint64_t puncts_in = 0;
-  uint64_t puncts_out = 0;
-  uint64_t exec_batches = 0;
-  uint64_t busy_ns = 0;
-  uint64_t queue_depth_hw = 0;
   double selectivity = 0.0;
-
-  OpProfileData prof;
   /// Deliveries into this operator = per-element Process calls plus
   /// batched ProcessBatch/ProcessColumns calls.
   uint64_t deliveries = 0;
   /// Mean elements per delivery (singles fold in as batches of one).
   double mean_batch = 0.0;
 
-  bool has_watermark = false;  // prof.wm_ts != OpProfile::kNoWatermark.
+  bool has_watermark = false;  // wm_ts != kNoWatermark.
   bool has_lag = false;        // A source watermark exists too.
   /// Event-time lag: source watermark ts minus this operator's last
   /// forwarded watermark ts (>= 0 in a well-behaved chain).
@@ -64,7 +53,7 @@ struct QueryProfile {
   std::string text;   // CQL text.
   uint64_t submit_ns = 0;
   uint64_t snapshot_ns = 0;
-  int64_t source_wm_ts = OpProfile::kNoWatermark;
+  int64_t source_wm_ts = OpStats::kNoWatermark;
   uint64_t source_wm_count = 0;
   std::vector<OpProfileRow> ops;
 
@@ -74,16 +63,15 @@ struct QueryProfile {
   std::string ToJson() const;
 };
 
-/// Per-query profile registry: owns the OpProfile slots operators write
-/// into and the plan-shaped tree a snapshot renders. Registration and
-/// (re)binding happen under the engine's exclusive registration lock;
-/// Snapshot may run from any thread (monitor, HTTP handler, sqpsh)
-/// while ingest runs — it reads only atomics and registration-time
-/// copies under the profiler's own mutex, never live Operator state.
+/// Per-query profile registry: the plan-shaped tree a snapshot renders,
+/// pointing at the operator-owned records (obs::OpMetrics) of each
+/// query. Registration and (re)binding happen under the engine's
+/// exclusive registration lock; Snapshot may run from any thread
+/// (monitor, HTTP handler, sqpsh) while ingest runs — it reads only the
+/// records' atomics and registration-time copies under the profiler's
+/// own mutex, never other live Operator state.
 ///
-/// Lives in exec (not obs) because binding walks Plan/Operator; the
-/// hot-path half (OpProfile) sits below in obs so Operator can hold a
-/// slot pointer without a layering cycle.
+/// Lives in exec (not obs) because binding walks Plan/Operator.
 class QueryProfiler {
  public:
   /// Lock-free source-side watermark tap, one per registered query: the
@@ -124,10 +112,10 @@ class QueryProfiler {
    private:
     static constexpr size_t kRingSize = 64;
     struct Slot {
-      std::atomic<int64_t> ts{OpProfile::kNoWatermark};
+      std::atomic<int64_t> ts{OpStats::kNoWatermark};
       std::atomic<uint64_t> ns{0};
     };
-    std::atomic<int64_t> ts_{OpProfile::kNoWatermark};
+    std::atomic<int64_t> ts_{OpStats::kNoWatermark};
     std::atomic<uint64_t> ns_{0};
     std::atomic<uint64_t> count_{0};
     std::array<Slot, kRingSize> ring_;
@@ -138,18 +126,15 @@ class QueryProfiler {
   /// Unregister). Re-registering an existing label resets it.
   SourceWatermark* Register(const std::string& label, std::string text);
 
-  /// Walks `plan`, allocates (or reuses, keyed by name+position) an
-  /// OpProfile slot per connected operator, binds it via BindProfile,
-  /// and rebuilds the snapshot tree. Call after Plan::BindMetrics so
-  /// rows capture the operators' current metrics slots; call again
-  /// after a structural rewrite (EnableSharding) — disconnected
-  /// leftovers of the rewrite (no output, nothing feeding them) are
-  /// excluded. No-op for unregistered labels.
-  void BindPlan(const std::string& label, Plan& plan);
+  /// Walks `plan` and rebuilds the snapshot tree over its connected
+  /// operators' records. Call again after a structural rewrite
+  /// (EnableSharding) — disconnected leftovers of the rewrite (no
+  /// output, nothing feeding them) are excluded. The plan must outlive
+  /// the registration (Unregister first). No-op for unregistered labels.
+  void BindPlan(const std::string& label, const Plan& plan);
 
-  /// Drops the query's slots and tap. The caller must detach every
-  /// operator first (BindProfile(nullptr)) — after Unregister returns,
-  /// no snapshot can observe the query, but the slots are gone too.
+  /// Drops the query's tree and tap. Barriers on in-flight snapshots:
+  /// once it returns the plan may be freed.
   void Unregister(const std::string& label);
 
   /// Copies a consistent-enough profile out; false if unknown label.
@@ -167,17 +152,12 @@ class QueryProfiler {
     std::string name;
     int index = 0;
     int depth = 0;
-    OpProfile* profile = nullptr;
-    OpMetrics* metrics = nullptr;
+    const OpMetrics* metrics = nullptr;
   };
   struct Entry {
     std::string text;
     uint64_t submit_ns = 0;
     SourceWatermark source;
-    /// Slot storage: deque for address stability across BindPlan
-    /// re-walks (operators hold raw pointers into it).
-    std::deque<OpProfile> slots;
-    std::map<std::pair<std::string, int>, OpProfile*> slot_by_key;
     std::vector<Node> tree;
   };
 

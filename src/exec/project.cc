@@ -54,9 +54,7 @@ void ProjectOp::PushBatch(ElementBatch& batch, int /*port*/) {
     ++tuples;
     Emit(Element(ProjectRow(*e.tuple())));
   }
-  stats_.tuples_in += tuples;
-  stats_.puncts_in += puncts;
-  if (metrics() != nullptr) metrics()->CountInBulk(tuples, puncts);
+  CountInBulk(tuples, puncts);
 }
 
 void ProjectOp::PushColumns(ColumnBatch& batch, int /*port*/) {

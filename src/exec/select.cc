@@ -32,12 +32,10 @@ void SelectOp::PushBatch(ElementBatch& batch, int /*port*/) {
     ++tuples;
     if (Truthy(pred_->Eval(*e.tuple()))) Emit(std::move(e));
   }
-  stats_.tuples_in += tuples;
-  stats_.puncts_in += puncts;
-  if (metrics() != nullptr) metrics()->CountInBulk(tuples, puncts);
+  CountInBulk(tuples, puncts);
 }
 
-void SelectOp::PushColumns(ColumnBatch& batch, int port) {
+void SelectOp::PushColumns(ColumnBatch& batch, int /*port*/) {
   CountInColumns(batch);
   if (vpred_ == nullptr || !vpred_->Filter(&batch)) {
     // Predicate didn't vectorize (or the batch doesn't fit the plan):

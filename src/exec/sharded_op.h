@@ -98,7 +98,10 @@ struct ShardStats {
 ///    keeps exactly one driving thread, so debug single-caller asserts
 ///    and TSan stay clean.
 ///  - Stats accessors (shard_stats, SkewRatio, StateBytes,
-///    CollectStats) are safe from any thread while running.
+///    CollectStats, stats) are safe from any thread while running.
+///  - This operator's record has two writers on disjoint fields: the
+///    caller's thread counts arrivals, the merge worker publishes the
+///    output side after every claim (PublishMerge).
 ///
 /// Flush protocol: the Nth input-side Flush (one per input port) closes
 /// the shard channels; each worker drains its backlog, flushes its
@@ -123,15 +126,6 @@ class ShardedOp : public Operator {
   void Flush() override;
   size_t StateBytes() const override;
 
-  /// Binds the profile to the merge stage too: the merge is the fan-in
-  /// that emits the min-across-shards watermark downstream, so sharing
-  /// the slot makes the profile's watermark fields reflect post-merge
-  /// event time (what the rest of the chain actually observes).
-  void BindProfile(obs::OpProfile* profile) override {
-    Operator::BindProfile(profile);
-    merge_.BindProfile(profile);
-  }
-
   int shards() const { return options_.shards; }
   ShardRouting routing() const { return options_.routing; }
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -141,10 +135,9 @@ class ShardedOp : public Operator {
   double SkewRatio() const;
   /// Total elements lost at bounded shard queues.
   uint64_t dropped() const;
-  /// Tuples (not punctuations) the merge forwarded downstream.
-  uint64_t merged_tuples() const {
-    return merged_tuples_.load(std::memory_order_relaxed);
-  }
+  /// Tuples (not punctuations) the merge forwarded downstream — this
+  /// operator's tuples_out.
+  uint64_t merged_tuples() const { return metrics().tuples_out(); }
 
   /// Publishes per-shard counters (sqp_shard_*) under
   /// {base_labels..., op=name, shard=i} plus an op-level skew gauge —
@@ -170,6 +163,10 @@ class ShardedOp : public Operator {
   void MergeLoop();
   void DrainAndJoin();
   void StopAndJoin();
+  /// Merge thread only: publishes the merge's state size and output
+  /// side (rows out, forwarded watermark) as this operator's, so the
+  /// record reads like the serial operator's while the merge runs.
+  void PublishMerge();
 
   ShardedOpOptions options_;
   ShardRouter router_;
@@ -180,7 +177,6 @@ class ShardedOp : public Operator {
   /// merge_.StateBytes(), published by the merge worker after each
   /// claim: the merge's state is only ever read on that thread.
   std::atomic<size_t> merge_state_bytes_{0};
-  std::atomic<uint64_t> merged_tuples_{0};
   std::vector<std::unique_ptr<ShardState>> states_;
   std::thread merge_worker_;
 

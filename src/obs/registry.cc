@@ -1,5 +1,7 @@
 #include "obs/registry.h"
 
+#include <algorithm>
+
 namespace sqp {
 namespace obs {
 
@@ -59,18 +61,26 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return &e.histogram;
 }
 
-OpMetrics* MetricsRegistry::GetOpMetrics(const std::string& query,
-                                         const std::string& op, int index) {
+void MetricsRegistry::SetOps(const std::string& query,
+                             std::vector<OpRef> ops) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string key = Key(query, {{op, std::to_string(index)}});
-  auto it = ops_by_key_.find(key);
-  if (it != ops_by_key_.end()) return &it->second->metrics;
-  OpEntry& e = op_entries_.emplace_back();
-  e.query = query;
-  e.op = op;
-  e.index = index;
-  ops_by_key_[key] = &e;
-  return &e.metrics;
+  std::erase_if(ops_, [&](const OpRow& r) { return r.query == query; });
+  for (OpRef& ref : ops) ops_.push_back(OpRow{query, std::move(ref)});
+}
+
+void MetricsRegistry::RemoveQuery(const std::string& query) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(ops_, [&](const OpRow& r) { return r.query == query; });
+  const std::pair<std::string, std::string> label("query", query);
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    if (std::find(it->labels.begin(), it->labels.end(), label) ==
+        it->labels.end()) {
+      ++it;
+      continue;
+    }
+    by_key_.erase(Key(it->name, it->labels));
+    it = entries_.erase(it);
+  }
 }
 
 void MetricsRegistry::AddCollector(const std::string& name,
@@ -114,8 +124,9 @@ Snapshot MetricsRegistry::TakeSnapshot() const {
           break;
       }
     }
-    for (const OpEntry& o : op_entries_) {
-      builder.AddOp(o.metrics.Snapshot(o.query, o.op, o.index));
+    for (const OpRow& r : ops_) {
+      builder.AddOp(OpSnapshot{r.ref.metrics->Snapshot(), r.query, r.ref.op,
+                               r.ref.index});
     }
     for (const auto& c : collectors_) c.second(builder);
   }

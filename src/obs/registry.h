@@ -1,8 +1,8 @@
 #ifndef SQP_OBS_REGISTRY_H_
 #define SQP_OBS_REGISTRY_H_
 
-#include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,11 +23,15 @@ namespace obs {
 /// counters.
 ///
 /// Concurrency contract: Get* registration takes a lock (do it at plan
-/// build time); the returned metric pointers are stable for the
-/// registry's lifetime and update lock-free with relaxed atomics.
+/// build time); the returned metric pointers are stable until
+/// RemoveQuery drops them and update lock-free with relaxed atomics.
 /// TakeSnapshot may run concurrently with updates from any thread — it
 /// reads a statistically consistent view, never tears an individual
 /// metric, and never blocks writers.
+///
+/// Per-operator records are not stored here: each Operator owns its
+/// obs::OpMetrics, and the registry only points at the records a query
+/// published (SetOps) until the query is removed (RemoveQuery).
 class MetricsRegistry {
  public:
   explicit MetricsRegistry(size_t trace_capacity = 2048)
@@ -42,9 +46,23 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name, LabelSet labels = {});
   Histogram* GetHistogram(const std::string& name, LabelSet labels = {});
 
-  /// Per-operator slot keyed by (query label, op name, plan index).
-  OpMetrics* GetOpMetrics(const std::string& query, const std::string& op,
-                          int index);
+  /// One operator record to publish: its labels and a pointer into the
+  /// operator that owns it.
+  struct OpRef {
+    std::string op;
+    int index = 0;  // Plan position (disambiguates duplicate names).
+    const OpMetrics* metrics = nullptr;
+  };
+
+  /// Publishes `query`'s operator records, replacing any published
+  /// before under that label. The records must stay alive until
+  /// RemoveQuery(query) or the next SetOps for the label.
+  void SetOps(const std::string& query, std::vector<OpRef> ops);
+
+  /// Forgets `query`: drops its operator rows and every registered
+  /// metric labelled query=<query>. Barriers on in-flight snapshots, so
+  /// the records may be freed once it returns.
+  void RemoveQuery(const std::string& query);
 
   /// Sampled lineage tracing (disabled until SetSampleEvery > 0).
   Tracer* tracer() { return &tracer_; }
@@ -71,23 +89,20 @@ class MetricsRegistry {
     std::string name;
     LabelSet labels;
     MetricKind kind = MetricKind::kGauge;
-    // Exactly one is used, per kind (deque-stored: stable addresses).
+    // Exactly one is used, per kind (list-stored: stable addresses).
     Counter counter;
     Gauge gauge;
     Histogram histogram;
   };
-  struct OpEntry {
+  struct OpRow {
     std::string query;
-    std::string op;
-    int index = 0;
-    OpMetrics metrics;
+    OpRef ref;
   };
 
   mutable std::mutex mu_;
-  std::deque<Entry> entries_;
+  std::list<Entry> entries_;
   std::map<std::string, Entry*> by_key_;
-  std::deque<OpEntry> op_entries_;
-  std::map<std::string, OpEntry*> ops_by_key_;
+  std::vector<OpRow> ops_;
   std::vector<std::pair<std::string, std::function<void(SnapshotBuilder&)>>>
       collectors_;
   Tracer tracer_;

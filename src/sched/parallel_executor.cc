@@ -104,11 +104,9 @@ void ParallelExecutor::CollectStats(obs::SnapshotBuilder& builder,
     labels.emplace_back("stage", std::to_string(i));
     Operator* op = states_[i]->cfg.op;
     labels.emplace_back("op", op->name());
-    // Mirror the queue high-water into the operator's own metrics slot
-    // so per-op views show queue pressure without asking the executor.
-    if (obs::OpMetrics* m = op->metrics()) {
-      m->UpdateQueueDepth(s.max_queue_depth);
-    }
+    // Mirror the queue high-water into the operator's own record so
+    // per-op views show queue pressure without asking the executor.
+    op->metrics().UpdateQueueDepth(s.max_queue_depth);
     sched::PublishStageStats(builder, labels, s);
   }
 }

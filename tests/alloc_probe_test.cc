@@ -25,17 +25,21 @@ namespace {
 std::atomic<uint64_t> g_allocs{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Out of line on purpose: inlined into a call site, GCC pairs the
+// replaced new with free() (or malloc with delete) and reports a
+// mismatched allocation (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new(std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     std::align_val_t align) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align), size) != 0) {
@@ -43,19 +47,30 @@ void* operator new(std::size_t size, std::align_val_t align) {
   }
   return p;
 }
-void* operator new[](std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t,
+                                         std::align_val_t) noexcept {
   std::free(p);
 }
 

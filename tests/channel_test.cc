@@ -126,8 +126,12 @@ void RunLedgerStress(Backpressure bp, bool stop_instead_of_close) {
   EXPECT_EQ(offered.load(), s.accepted + s.dropped + s.refused);
   ExpectBooksBalance(s);
   EXPECT_EQ(consumed.load(), s.popped);
-  if (!stop_instead_of_close) EXPECT_EQ(s.depth, 0u);  // Close drains.
-  if (bp == Backpressure::kBlock) EXPECT_EQ(s.dropped, 0u);
+  if (!stop_instead_of_close) {
+    EXPECT_EQ(s.depth, 0u);  // Close drains.
+  }
+  if (bp == Backpressure::kBlock) {
+    EXPECT_EQ(s.dropped, 0u);
+  }
 }
 
 TEST(ChannelTest, LedgerHoldsUnderBlockingProducersAndClose) {

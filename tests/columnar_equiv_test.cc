@@ -56,12 +56,6 @@ class RecordingSink : public Operator {
   std::vector<std::string> log_;
 };
 
-std::vector<std::string> Sorted(const RecordingSink& s) {
-  std::vector<std::string> v = s.log();
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
 // Per-column value profile of a randomized schema. kMixed deliberately
 // breaks FromRows (int and double in one column) to exercise the row
 // fallback; the rest convert.
