@@ -416,30 +416,12 @@ Status StreamEngine::IngestElement(const std::string& stream,
 }
 
 obs::Monitor& StreamEngine::StartMonitor(obs::MonitorOptions options) {
+  std::lock_guard<std::mutex> lock(monitor_mu_);
   if (monitor_ == nullptr) {
     monitor_ = std::make_unique<obs::Monitor>(&metrics_, options);
   }
   monitor_->Start();  // No-op in manual mode or when already running.
   return *monitor_;
-}
-
-Result<int> StreamEngine::ServeMetrics(int port) {
-  if (http_ != nullptr && http_->serving()) {
-    return Status::AlreadyExists("metrics endpoint already on port " +
-                                 std::to_string(http_->port()));
-  }
-  if (monitor_ == nullptr) StartMonitor();
-  http_ = std::make_unique<obs::HttpExporter>(&metrics_, monitor_.get());
-  http_->SetEventLog(&events_);
-  http_->SetProfileSource(
-      [this](const std::string& label, std::string* json) {
-        obs::QueryProfile profile;
-        if (!profiler_.Snapshot(label, &profile)) return false;
-        *json = profile.ToJson();
-        return true;
-      });
-  SQP_RETURN_NOT_OK(http_->Serve(port));
-  return http_->port();
 }
 
 Status StreamEngine::EnableAdaptiveShedding(QueryHandle* handle,
@@ -471,7 +453,8 @@ Status StreamEngine::EnableAdaptiveShedding(QueryHandle* handle,
       return n;
     };
   }
-  if (monitor_ == nullptr) StartMonitor();
+  obs::Monitor* monitor = this->monitor();
+  if (monitor == nullptr) monitor = &StartMonitor();
 
   const std::string label = LabelFor(handle);
 
@@ -500,7 +483,7 @@ Status StreamEngine::EnableAdaptiveShedding(QueryHandle* handle,
   // The loop itself: every monitor tick, observed backlog -> controller
   // -> gate drop probability. Runs on the ticking thread with no locks
   // held; the gate's rate is atomic.
-  monitor_->AddTickListener(
+  monitor->AddTickListener(
       "shed:" + label,
       [this, handle, label, probe = std::move(probe)](uint64_t) {
         size_t backlog = probe();
@@ -544,8 +527,9 @@ Status StreamEngine::Remove(QueryHandle* handle) {
   // starts. Done before taking reg_mu_: the listener never takes the
   // registration lock, but keeping the barrier outside the critical
   // section keeps the lock dependency one-directional.
-  if (monitor_ != nullptr && !handle->metrics_label_.empty()) {
-    monitor_->RemoveTickListener("shed:" + handle->metrics_label_);
+  obs::Monitor* monitor = this->monitor();
+  if (monitor != nullptr && !handle->metrics_label_.empty()) {
+    monitor->RemoveTickListener("shed:" + handle->metrics_label_);
   }
 
   std::unique_lock<std::shared_mutex> reg(reg_mu_);

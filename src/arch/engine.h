@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -16,7 +17,6 @@
 #include "exec/reorder.h"
 #include "exec/sharding.h"
 #include "obs/event_log.h"
-#include "obs/http_exporter.h"
 #include "obs/monitor.h"
 #include "obs/registry.h"
 #include "sched/parallel_executor.h"
@@ -371,24 +371,29 @@ class StreamEngine {
   /// Starts the engine's continuous monitor over Metrics() (idempotent;
   /// later calls return the existing monitor and ignore `options`).
   /// With options.period_ms <= 0 no sampler thread is spawned — drive
-  /// observation manually with monitor()->TickOnce().
+  /// observation manually with monitor()->TickOnce(). Safe from any
+  /// thread, also while the query server answers /series.json.
   obs::Monitor& StartMonitor(obs::MonitorOptions options = {});
-  obs::Monitor* monitor() { return monitor_.get(); }
-  const obs::Monitor* monitor() const { return monitor_.get(); }
+  /// The monitor, or nullptr before StartMonitor. Once created it lives
+  /// as long as the engine.
+  obs::Monitor* monitor() {
+    std::lock_guard<std::mutex> lock(monitor_mu_);
+    return monitor_.get();
+  }
+  const obs::Monitor* monitor() const {
+    std::lock_guard<std::mutex> lock(monitor_mu_);
+    return monitor_.get();
+  }
 
-  /// Starts the HTTP scrape endpoint (GET /metrics, /snapshot.json,
-  /// /series.json) on `port` — 0 binds an ephemeral port. Starts the
-  /// monitor (default options) if it is not already running, so
-  /// /series.json has history. Returns the bound port.
-  Result<int> ServeMetrics(int port);
-  const obs::HttpExporter* http_exporter() const { return http_.get(); }
-
-  /// Starts the multi-client continuous-query server (server::
-  /// QueryServer) on `port` — 0 binds an ephemeral port. Clients POST
-  /// CQL to /query, receive a session id, and stream results back via
-  /// long-poll GET /session/<id>/results with cursor resume. Returns the
-  /// bound port. Defined in src/server/engine_serve.cc (the server
-  /// subsystem layers above the engine).
+  /// Starts the engine's HTTP server (server::QueryServer) on `port` —
+  /// 0 binds an ephemeral port. Clients POST CQL to /query, receive a
+  /// session id, and stream results back via long-poll
+  /// GET /session/<id>/results with cursor resume. The same port answers
+  /// scrapes: /metrics (Prometheus), /snapshot.json, /series.json (the
+  /// monitor's history, if one was started), /events.json and
+  /// /profile/<label>.json. Does not start a monitor. Returns the bound
+  /// port. Defined in src/server/engine_serve.cc (the server subsystem
+  /// layers above the engine).
   Result<int> Serve(int port);
   Result<int> Serve(int port, const server::QueryServerOptions& options);
   server::QueryServer* query_server() { return server_.get(); }
@@ -517,10 +522,11 @@ class StreamEngine {
   obs::Counter* dur_replay_ctr_ = nullptr;
   uint64_t latency_sample_every_ = 256;
   // Declared after queries_ so teardown runs observation-first: the
-  // exporter stops serving, then the monitor joins its sampler (whose
-  // tick listeners read query state), and only then do queries die.
+  // monitor joins its sampler (whose tick listeners read query state)
+  // before queries die. monitor_mu_ guards the pointer: StartMonitor may
+  // create it while a server thread reads it for /series.json.
+  mutable std::mutex monitor_mu_;
   std::unique_ptr<obs::Monitor> monitor_;
-  std::unique_ptr<obs::HttpExporter> http_;
   // Declared last: destroyed first, so the query server stops its
   // listener and closes sessions (which reference query handles) before
   // anything above dies. shared_ptr: QueryServer is incomplete here.

@@ -35,26 +35,16 @@ void Operator::Emit(Element&& e) {
   if (out_ != nullptr) out_->Process(e, out_port_);
 }
 
-void Operator::ProcessBatch(ElementBatch& batch, int port) {
-  if (batch.empty()) return;
-  if (!instrumented_) {
-    coalescing_ = out_ != nullptr;
-    PushBatch(batch, port);
-    coalescing_ = false;
-    FlushEmitBuffer();
-    return;
-  }
-  ProcessBatchInstrumented(batch, port);
+template <typename Body>
+void Operator::RunCoalesced(Body&& body) {
+  coalescing_ = out_ != nullptr;
+  body();
+  coalescing_ = false;
+  FlushEmitBuffer();
 }
 
-void Operator::ProcessBatchInstrumented(ElementBatch& batch, int port) {
-  metrics_.ObserveBatch(batch.size());
-  if (tracer_ != nullptr) {
-    // Lineage tracing records per-element hop chains; take the exact
-    // per-element path so sampled traces look identical under batching.
-    for (const Element& e : batch) Process(e, port);
-    return;
-  }
+template <typename Body>
+void Operator::RunTimed(Body&& body) {
   obs::ThreadObsContext& ctx = obs::ObsContext();
   const bool entry = ctx.depth == 0;
   if (entry) {
@@ -68,10 +58,7 @@ void Operator::ProcessBatchInstrumented(ElementBatch& batch, int port) {
   const uint64_t saved_child = ctx.child_ns;
   ctx.child_ns = 0;
   const uint64_t t0 = obs::NowNs();
-  coalescing_ = out_ != nullptr;
-  PushBatch(batch, port);
-  coalescing_ = false;
-  FlushEmitBuffer();
+  RunCoalesced(body);
   const uint64_t total = obs::NowNs() - t0;
   const uint64_t self = total > ctx.child_ns ? total - ctx.child_ns : 0;
   metrics_.AddBusyNs(self);
@@ -84,19 +71,30 @@ void Operator::ProcessBatchInstrumented(ElementBatch& batch, int port) {
   }
 }
 
-void Operator::ProcessColumns(ColumnBatch& batch, int port) {
+void Operator::ProcessBatch(ElementBatch& batch, int port) {
   if (batch.empty()) return;
+  auto push = [&] { PushBatch(batch, port); };
   if (!instrumented_) {
-    coalescing_ = out_ != nullptr;
-    PushColumns(batch, port);
-    coalescing_ = false;
-    FlushEmitBuffer();
+    RunCoalesced(push);
     return;
   }
-  ProcessColumnsInstrumented(batch, port);
+  metrics_.ObserveBatch(batch.size());
+  if (tracer_ != nullptr) {
+    // Lineage tracing records per-element hop chains; take the exact
+    // per-element path so sampled traces look identical under batching.
+    for (const Element& e : batch) Process(e, port);
+    return;
+  }
+  RunTimed(push);
 }
 
-void Operator::ProcessColumnsInstrumented(ColumnBatch& batch, int port) {
+void Operator::ProcessColumns(ColumnBatch& batch, int port) {
+  if (batch.empty()) return;
+  auto push = [&] { PushColumns(batch, port); };
+  if (!instrumented_) {
+    RunCoalesced(push);
+    return;
+  }
   metrics_.ObserveBatch(batch.ActiveRows() + batch.puncts.size());
   if (tracer_ != nullptr) {
     // Lineage traces are per-element; materialize so sampled hop chains
@@ -106,30 +104,7 @@ void Operator::ProcessColumnsInstrumented(ColumnBatch& batch, int port) {
     for (const Element& e : rows) Process(e, port);
     return;
   }
-  obs::ThreadObsContext& ctx = obs::ObsContext();
-  const bool entry = ctx.depth == 0;
-  if (entry) {
-    ctx.busy_sampled = false;
-    ctx.timed = true;
-  }
-  ++ctx.depth;
-  const uint64_t saved_child = ctx.child_ns;
-  ctx.child_ns = 0;
-  const uint64_t t0 = obs::NowNs();
-  coalescing_ = out_ != nullptr;
-  PushColumns(batch, port);
-  coalescing_ = false;
-  FlushEmitBuffer();
-  const uint64_t total = obs::NowNs() - t0;
-  const uint64_t self = total > ctx.child_ns ? total - ctx.child_ns : 0;
-  metrics_.AddBusyNs(self);
-  metrics_.MaybeSampleState([this] { return StateBytes(); });
-  ctx.child_ns = saved_child + total;
-  --ctx.depth;
-  if (entry) {
-    ctx.child_ns = 0;
-    ctx.timed = false;
-  }
+  RunTimed(push);
 }
 
 void Operator::EmitColumns(ColumnBatch&& batch) {

@@ -227,13 +227,14 @@ class Operator {
  private:
   /// Out-of-line slow path of Process: self-time metrics + tracing.
   void ProcessInstrumented(const Element& e, int port);
-  /// Slow path of ProcessBatch: whole-batch self-timing; falls back to
-  /// per-element Process when lineage tracing is on.
-  void ProcessBatchInstrumented(ElementBatch& batch, int port);
-  /// Slow path of ProcessColumns: whole-batch self-timing (per-batch
-  /// metrics amortization); materializes to per-element Process under
-  /// lineage tracing so sampled traces look identical.
-  void ProcessColumnsInstrumented(ColumnBatch& batch, int port);
+  /// Runs a batch body (PushBatch or PushColumns) with this operator's
+  /// emissions coalesced into one downstream batch.
+  template <typename Body>
+  void RunCoalesced(Body&& body);
+  /// RunCoalesced inside one self-timed scope: the instrumented batch
+  /// path of ProcessBatch and ProcessColumns (busy time, sampled state).
+  template <typename Body>
+  void RunTimed(Body&& body);
   /// Hands the coalesced output batch downstream and resets the buffer.
   void FlushEmitBuffer();
 

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 namespace sqp {
 namespace server {
@@ -30,6 +31,24 @@ bool HeaderIs(const std::string& line, const char* name) {
     if (a != b) return false;
     ++n;
   }
+  return true;
+}
+
+/// Parses a Content-Length value: optional whitespace around one or
+/// more digits, nothing else, and no overflow. RFC 9112 §6.3 makes any
+/// other value unrecoverable.
+bool ParseContentLength(const char* v, size_t* out) {
+  while (*v == ' ' || *v == '\t') ++v;
+  if (*v < '0' || *v > '9') return false;
+  size_t n = 0;
+  for (; *v >= '0' && *v <= '9'; ++v) {
+    const size_t digit = static_cast<size_t>(*v - '0');
+    if (n > (std::numeric_limits<size_t>::max() - digit) / 10) return false;
+    n = n * 10 + digit;
+  }
+  while (*v == ' ' || *v == '\t') ++v;
+  if (*v != '\0') return false;
+  *out = n;
   return true;
 }
 
@@ -147,6 +166,7 @@ bool ParseHttpHead(const std::string& head, HttpRequest* req,
   }
 
   // Scan headers for Content-Length (the only one the tree acts on).
+  bool have_length = false;
   size_t pos = line_end == std::string::npos ? head.size() : line_end + 1;
   while (pos < head.size()) {
     size_t end = head.find('\n', pos);
@@ -155,14 +175,11 @@ bool ParseHttpHead(const std::string& head, HttpRequest* req,
     if (!hline.empty() && hline.back() == '\r') hline.pop_back();
     if (hline.empty()) break;
     if (HeaderIs(hline, "content-length:")) {
-      const char* v = hline.c_str() + 15;
-      while (*v == ' ' || *v == '\t') ++v;
-      errno = 0;
-      char* endp = nullptr;
-      long long n = std::strtoll(v, &endp, 10);
-      if (errno == 0 && endp != v && n >= 0) {
-        *content_length = static_cast<size_t>(n);
-      }
+      size_t n = 0;
+      if (!ParseContentLength(hline.c_str() + 15, &n)) return false;
+      if (have_length && n != *content_length) return false;  // Conflict.
+      *content_length = n;
+      have_length = true;
     }
     if (end == std::string::npos) break;
     pos = end + 1;

@@ -35,7 +35,9 @@ bool SendAll(int fd, const char* data, size_t len);
 /// Parses the head of a request (request line + headers, everything up
 /// to the blank line). Fills method/target/path/params and returns the
 /// Content-Length (0 when absent) via `content_length`. Returns false on
-/// a malformed request line.
+/// a malformed request line, and on a Content-Length that is not a
+/// plain decimal that fits in size_t or that disagrees with an earlier
+/// Content-Length header (RFC 9112 §6.3).
 bool ParseHttpHead(const std::string& head, HttpRequest* req,
                    size_t* content_length);
 

@@ -15,36 +15,39 @@
 namespace sqp {
 namespace server {
 
-/// Tuning for one NetListener.
+/// Tuning for one NetListener. The defaults are the query server's.
 struct NetListenerOptions {
   /// listen(2) backlog: connections the kernel queues while we are busy.
   int backlog = 64;
   /// Per-connection socket timeouts (SO_RCVTIMEO / SO_SNDTIMEO), applied
   /// to every accepted fd before the handler sees it: a stalled or
   /// malicious peer can wedge one read/write for at most this long,
-  /// never a thread forever. <= 0 leaves the socket blocking.
+  /// never a thread forever. <= 0 leaves the socket blocking. The send
+  /// side is longer because a long-poll response can legitimately sit
+  /// idle while the client catches up.
   int recv_timeout_ms = 5000;
-  int send_timeout_ms = 5000;
-  /// 0: connections are handled sequentially on the accept thread (the
-  /// metrics-exporter mode — one scraper, no concurrency needed).
-  /// N > 0: each connection gets its own handler thread, at most N live
-  /// at once; connections beyond the cap receive `overflow_response`
-  /// (if non-empty) and are closed without ever reaching the handler.
-  int max_concurrent = 0;
-  /// Raw bytes (typically a pre-rendered HTTP 503) sent to a connection
-  /// rejected by the cap. Empty = close silently.
-  std::string overflow_response;
+  int send_timeout_ms = 10000;
+  /// Each connection gets its own handler thread, at most this many live
+  /// at once (must be > 0); connections beyond the cap receive
+  /// `overflow_response` (if non-empty) and are closed without ever
+  /// reaching the handler.
+  int max_concurrent = 128;
+  /// Raw bytes sent to a connection rejected by the cap. Empty = close
+  /// silently.
+  std::string overflow_response =
+      "HTTP/1.0 503 Service Unavailable\r\n"
+      "Content-Type: application/json\r\nContent-Length: 33\r\n"
+      "Connection: close\r\n\r\n"
+      "{\"error\":\"too many connections\"}\n";
 };
 
-/// The one TCP accept/dispatch loop shared by every HTTP-ish endpoint in
-/// the tree (obs::HttpExporter, server::QueryServer): binds a port,
-/// accepts connections on a background thread, applies per-connection
-/// timeouts and the concurrency cap, and hands each accepted fd to the
-/// handler. The listener owns every fd it accepts — handlers read and
-/// write but must NOT close; the fd is closed after the handler returns
-/// (sequential mode) or when its thread is reaped (concurrent mode), so
-/// Stop() can safely shutdown(2) in-flight connections without racing an
-/// fd reuse.
+/// The TCP accept/dispatch loop behind server::QueryServer: binds a
+/// port, accepts connections on a background thread, applies
+/// per-connection timeouts and the concurrency cap, and hands each
+/// accepted fd to the handler on its own thread. The listener owns every
+/// fd it accepts — handlers read and write but must NOT close; the fd is
+/// closed when its thread is reaped, so Stop() can safely shutdown(2)
+/// in-flight connections without racing an fd reuse.
 class NetListener {
  public:
   using Handler = std::function<void(int fd)>;
@@ -56,7 +59,8 @@ class NetListener {
   NetListener& operator=(const NetListener&) = delete;
 
   /// Binds 0.0.0.0:`port` (0 = kernel-assigned ephemeral, see port())
-  /// and starts the accept loop.
+  /// and starts the accept loop. Refuses a port outside [0, 65535] and
+  /// max_concurrent <= 0.
   Status Start(int port, Handler handler, NetListenerOptions options = {});
 
   /// Shuts down the listen socket and every in-flight connection, then
@@ -75,7 +79,7 @@ class NetListener {
   uint64_t overflowed() const {
     return overflowed_.load(std::memory_order_relaxed);
   }
-  /// Handler threads currently live (concurrent mode).
+  /// Handler threads currently live.
   int active_connections() const {
     return active_.load(std::memory_order_relaxed);
   }

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "arch/engine.h"
+#include "obs/monitor.h"
 #include "obs/snapshot.h"
 
 namespace sqp {
@@ -19,6 +20,22 @@ std::string ErrorJson(const std::string& what, const std::string& detail) {
   }
   out += "}\n";
   return out;
+}
+
+/// Splits "/session/<id>[/tail]" into the id and "" or "/tail"; false
+/// for any other path.
+bool SplitSessionPath(const std::string& path, std::string* id,
+                      std::string* tail) {
+  if (path.rfind("/session/", 0) != 0) return false;
+  size_t slash = path.find('/', 9);
+  if (slash == std::string::npos) {
+    *id = path.substr(9);
+    tail->clear();
+  } else {
+    *id = path.substr(9, slash - 9);
+    *tail = path.substr(slash);
+  }
+  return true;
 }
 
 }  // namespace
@@ -97,50 +114,61 @@ void QueryServer::HandleConnection(int fd) {
   if (!ReadHttpRequest(fd, &req)) return;  // Listener closes the fd.
   requests_.fetch_add(1, std::memory_order_relaxed);
 
-  const std::string& p = req.path;
-  // /session/<id>[/results | /close]
-  if (p.rfind("/session/", 0) == 0) {
-    std::string rest = p.substr(9);
-    size_t slash = rest.find('/');
-    std::string id = rest.substr(0, slash);
-    std::string tail = slash == std::string::npos ? "" : rest.substr(slash);
-    if (tail == "/results" && req.method == "GET") {
-      HandleResults(fd, id, req);
-      return;
-    }
-    Response r;
-    if (tail.empty() && req.method == "GET") {
-      r = HandleSessionInfo(id);
-    } else if (tail == "/profile" && req.method == "GET") {
-      r = HandleSessionProfile(id, req);
-    } else if ((tail.empty() && req.method == "DELETE") ||
-               (tail == "/close" && req.method == "POST")) {
-      r = HandleSessionClose(id);
-    } else {
-      r = Response{405, "application/json",
-                   ErrorJson("method not allowed", "")};
-    }
-    WriteHttpResponse(fd, r.code, r.content_type, r.body);
+  // Results stream straight to the socket; every other route answers
+  // with one Response.
+  std::string id;
+  std::string tail;
+  if (req.method == "GET" && SplitSessionPath(req.path, &id, &tail) &&
+      tail == "/results") {
+    HandleResults(fd, id, req);
     return;
   }
+  Response r = Route(req);
+  WriteHttpResponse(fd, r.code, r.content_type, r.body,
+                    /*head_only=*/req.method == "HEAD");
+}
 
-  Response r;
-  if (p == "/query" && req.method == "POST") {
-    r = HandleSubmit(req);
-  } else if (p == "/sessions" && req.method == "GET") {
-    r = HandleSessions();
-  } else if (p == "/events.json" && req.method == "GET") {
-    r = HandleEvents(req);
-  } else if (p == "/stats" && req.method == "GET") {
-    r = HandleStats();
-  } else if (p == "/healthz" && req.method == "GET") {
-    r = Response{200, "text/plain; charset=utf-8", "ok\n"};
-  } else if (p == "/" && req.method == "GET") {
-    r = HandleRoot();
-  } else {
-    r = Response{404, "application/json", ErrorJson("not found", p)};
+QueryServer::Response QueryServer::Route(const HttpRequest& req) {
+  const std::string& p = req.path;
+  // HEAD answers like GET without the body, as scrapers expect.
+  const bool get = req.method == "GET" || req.method == "HEAD";
+  std::string id;
+  std::string tail;
+  if (SplitSessionPath(p, &id, &tail)) {
+    if (tail.empty() && get) return HandleSessionInfo(id);
+    if (tail == "/profile" && get) return HandleSessionProfile(id, req);
+    if ((tail.empty() && req.method == "DELETE") ||
+        (tail == "/close" && req.method == "POST")) {
+      return HandleSessionClose(id);
+    }
+    return {405, "application/json", ErrorJson("method not allowed", "")};
   }
-  WriteHttpResponse(fd, r.code, r.content_type, r.body);
+  if (p == "/query" && req.method == "POST") return HandleSubmit(req);
+  if (get) {
+    if (p == "/metrics") {
+      return {200, "text/plain; version=0.0.4; charset=utf-8",
+              engine_->Metrics().TakeSnapshot().ToPrometheus()};
+    }
+    if (p == "/snapshot.json") {
+      return {200, "application/json",
+              engine_->Metrics().TakeSnapshot().ToJson()};
+    }
+    if (p == "/series.json") return HandleSeries();
+    if (p.rfind("/profile/", 0) == 0) {
+      std::string label = p.substr(9);
+      if (label.size() > 5 &&
+          label.compare(label.size() - 5, 5, ".json") == 0) {
+        label.resize(label.size() - 5);
+      }
+      return HandleProfile(label, req);
+    }
+    if (p == "/events.json") return HandleEvents(req);
+    if (p == "/sessions") return HandleSessions();
+    if (p == "/stats") return HandleStats();
+    if (p == "/healthz") return {200, "text/plain; charset=utf-8", "ok\n"};
+    if (p == "/") return HandleRoot();
+  }
+  return {404, "application/json", ErrorJson("not found", p)};
 }
 
 QueryServer::Response QueryServer::HandleSubmit(const HttpRequest& req) {
@@ -380,27 +408,47 @@ QueryServer::Response QueryServer::HandleSessionInfo(const std::string& id) {
 
 QueryServer::Response QueryServer::HandleSessionProfile(
     const std::string& id, const HttpRequest& req) {
-  obs::QueryProfile profile;
+  std::string label;
   {
     // Holding mu_ pins the handle: CloseSession nulls it under the same
-    // lock before the engine tears the query down. The snapshot itself
-    // only reads operator atomics, so the critical section stays short.
+    // lock before the engine tears the query down.
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(id);
     if (it == sessions_.end()) {
       return {404, "application/json", ErrorJson("no such session", id)};
     }
-    if (!engine_->ProfileSnapshot(it->second->handle, &profile)) {
-      return {404, "application/json",
-              ErrorJson("no profile",
-                        "profiling requires engine metrics to be enabled")};
+    if (it->second->handle != nullptr) {
+      label = it->second->handle->metrics_label();
     }
+  }
+  return HandleProfile(label, req);
+}
+
+QueryServer::Response QueryServer::HandleProfile(const std::string& label,
+                                                 const HttpRequest& req) {
+  // The snapshot reads only operator atomics and registration-time
+  // copies, so it is safe against concurrent ingest and Remove.
+  obs::QueryProfile profile;
+  if (label.empty() || !engine_->ProfileSnapshot(label, &profile)) {
+    return {404, "application/json",
+            ErrorJson("no profile",
+                      "unknown query, or engine metrics were off at submit")};
   }
   const std::string* format = req.Param("format");
   if (format != nullptr && *format == "text") {
     return {200, "text/plain; charset=utf-8", profile.Pretty()};
   }
-  return {200, "application/json", profile.ToJson() + "\n"};
+  return {200, "application/json", profile.ToJson()};
+}
+
+QueryServer::Response QueryServer::HandleSeries() {
+  // Read at request time: the monitor may start after the server.
+  const obs::Monitor* monitor = engine_->monitor();
+  if (monitor == nullptr) {
+    return {200, "application/json",
+            "{\"ticks\":0,\"period_ms\":0,\"series\":[]}"};
+  }
+  return {200, "application/json", monitor->SeriesJson()};
 }
 
 QueryServer::Response QueryServer::HandleEvents(const HttpRequest& req) {
@@ -500,6 +548,8 @@ QueryServer::Response QueryServer::HandleRoot() {
       "\"GET /session/<id>\",\"GET /session/<id>/results?cursor=&max=&wait_ms=\","
       "\"GET /session/<id>/profile?format=json|text\","
       "\"DELETE /session/<id>\",\"GET /sessions\",\"GET /stats\","
+      "\"GET /metrics\",\"GET /snapshot.json\",\"GET /series.json\","
+      "\"GET /profile/<label>.json?format=json|text\","
       "\"GET /events.json?after=&max=\",\"GET /healthz\"]}\n";
   return {200, "application/json", body};
 }

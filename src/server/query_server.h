@@ -28,11 +28,9 @@ namespace server {
 struct QueryServerOptions {
   /// Caps on concurrent queries / total retained rows (HTTP 429 beyond).
   AdmissionOptions admission;
-  /// Socket behavior. The defaults here override NetListenerOptions':
-  /// concurrent handling (one thread per streaming client) with a
-  /// connection cap, and a long send timeout (a long-poll response can
-  /// legitimately sit idle while the client catches up).
-  NetListenerOptions listener = MakeListenerDefaults();
+  /// Socket behavior: concurrent handling (one thread per streaming
+  /// client) with a connection cap and per-connection timeouts.
+  NetListenerOptions listener;
   /// Per-session queue defaults; clients override per query via
   /// ?queue=&policy=&block_ms=.
   ResultQueueOptions queue;
@@ -46,24 +44,12 @@ struct QueryServerOptions {
   /// detached client wedge the engine's delivery thread forever.
   int max_block_ms = 60000;
   size_t rows_per_batch = 256;
-
-  static NetListenerOptions MakeListenerDefaults() {
-    NetListenerOptions o;
-    o.max_concurrent = 128;
-    o.recv_timeout_ms = 5000;
-    o.send_timeout_ms = 10000;
-    o.overflow_response =
-        "HTTP/1.0 503 Service Unavailable\r\n"
-        "Content-Type: application/json\r\nContent-Length: 33\r\n"
-        "Connection: close\r\n\r\n"
-        "{\"error\":\"too many connections\"}\n";
-    return o;
-  }
 };
 
-/// The multi-client continuous-query front door: an HTTP endpoint where
-/// clients register standing CQL queries against a running StreamEngine
-/// and stream their results back.
+/// The engine's one HTTP surface: clients register standing CQL queries
+/// against a running StreamEngine and stream their results back, and
+/// monitoring scrapes the engine's metrics, monitor history, event log
+/// and query profiles from the same port.
 ///
 ///   POST /query?queue=N&policy=block|drop|shed&block_ms=M  (body: CQL)
 ///       -> 200 {"session":"s0",...} | 400 parse error | 429 admission
@@ -80,8 +66,17 @@ struct QueryServerOptions {
 ///          watermark lag (JSON by default, text with ?format=text)
 ///   DELETE /session/<id>      -> tear the query down (also POST
 ///                                /session/<id>/close)
+///   GET  /profile/<label>.json[?format=text]
+///       -> the same profile for any engine query by label ("q0"),
+///          including queries submitted in-process
+///   GET  /metrics             -> Prometheus text exposition
+///   GET  /snapshot.json       -> full metrics snapshot
+///   GET  /series.json         -> monitor history (an empty series list
+///                                until StreamEngine::StartMonitor)
 ///   GET  /events.json?after=&max=  -> engine structured event log
 ///   GET  /sessions, /stats, /healthz, /
+///
+/// HEAD is answered on every GET route except the streaming results.
 ///
 /// Teardown ordering (the no-deadlock contract with StreamEngine): a
 /// session's queue is Close()d — unblocking any producer stuck in a full
@@ -127,12 +122,17 @@ class QueryServer {
     std::string content_type = "application/json";
     std::string body;
   };
+  /// Routes every request except the streaming results.
+  Response Route(const HttpRequest& req);
   Response HandleSubmit(const HttpRequest& req);
   Response HandleSessionInfo(const std::string& id);
   Response HandleSessionProfile(const std::string& id,
                                 const HttpRequest& req);
+  /// EXPLAIN ANALYZE for the engine query labelled `label`.
+  Response HandleProfile(const std::string& label, const HttpRequest& req);
   Response HandleSessionClose(const std::string& id);
   Response HandleEvents(const HttpRequest& req);
+  Response HandleSeries();
   Response HandleSessions();
   Response HandleStats();
   Response HandleRoot();

@@ -46,7 +46,6 @@
 
 // Observability: engine-wide metrics registry, per-operator counters,
 // sampled lineage tracing, JSON/Prometheus export.
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "obs/op_metrics.h"

@@ -10,8 +10,8 @@
 #include <thread>
 
 #include "arch/engine.h"
-#include "obs/http_exporter.h"
 #include "obs/monitor.h"
+#include "server/query_server.h"
 #include "stream/generators.h"
 
 namespace sqp {
@@ -24,9 +24,11 @@ TupleRef Pkt(int64_t ts, int64_t src, int64_t proto, int64_t len) {
                         Value("")});
 }
 
-/// Minimal in-process HTTP client: one blocking GET against localhost,
-/// returning the raw response (status line + headers + body).
-std::string FetchRaw(int port, const std::string& target) {
+/// Minimal in-process HTTP client: one blocking request (GET unless
+/// `method` says otherwise) against localhost, returning the raw
+/// response (status line + headers + body).
+std::string FetchRaw(int port, const std::string& target,
+                     const std::string& method = "GET") {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
   sockaddr_in addr{};
@@ -37,7 +39,8 @@ std::string FetchRaw(int port, const std::string& target) {
     ::close(fd);
     return "";
   }
-  std::string req = "GET " + target + " HTTP/1.0\r\nHost: localhost\r\n\r\n";
+  std::string req =
+      method + " " + target + " HTTP/1.0\r\nHost: localhost\r\n\r\n";
   size_t sent = 0;
   while (sent < req.size()) {
     ssize_t n = ::send(fd, req.data() + sent, req.size() - sent, 0);
@@ -327,9 +330,16 @@ TEST(EngineLatencyTest, SamplingDisabledRecordsNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// HTTP exporter, fetched by a real in-process client.
+// Scrape routes on the engine's HTTP server, fetched by a real in-process
+// client.
 
-TEST(HttpExporterTest, ServesAllThreeEndpoints) {
+/// Body of a raw HTTP response (everything after the blank line).
+std::string BodyOf(const std::string& raw) {
+  size_t pos = raw.find("\r\n\r\n");
+  return pos == std::string::npos ? "" : raw.substr(pos + 4);
+}
+
+TEST(ScrapeRoutesTest, ServesEveryScrapeRoute) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
   auto q = engine.Submit("select ts from packets where len > 100");
@@ -337,7 +347,7 @@ TEST(HttpExporterTest, ServesAllThreeEndpoints) {
   obs::MonitorOptions mopt;
   mopt.period_ms = 0;  // Manual ticks keep the test deterministic.
   engine.StartMonitor(mopt);
-  auto port = engine.ServeMetrics(0);
+  auto port = engine.Serve(0);
   ASSERT_TRUE(port.ok()) << port.status().ToString();
   ASSERT_GT(*port, 0);
 
@@ -352,7 +362,9 @@ TEST(HttpExporterTest, ServesAllThreeEndpoints) {
 
   const std::string metrics = FetchRaw(*port, "/metrics");
   EXPECT_NE(metrics.find("HTTP/1.0 200 OK"), std::string::npos);
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
+  EXPECT_NE(metrics.find("Content-Type: text/plain; version=0.0.4; "
+                         "charset=utf-8"),
+            std::string::npos);
   EXPECT_NE(metrics.find("# TYPE sqp_stream_ingested_total counter"),
             std::string::npos);
   EXPECT_NE(metrics.find("sqp_stream_ingested_total{stream=\"packets\"} 128"),
@@ -362,52 +374,87 @@ TEST(HttpExporterTest, ServesAllThreeEndpoints) {
 
   const std::string snapshot = FetchRaw(*port, "/snapshot.json");
   EXPECT_NE(snapshot.find("HTTP/1.0 200 OK"), std::string::npos);
-  EXPECT_NE(snapshot.find("application/json"), std::string::npos);
+  EXPECT_NE(snapshot.find("Content-Type: application/json"),
+            std::string::npos);
   EXPECT_NE(snapshot.find("\"metrics\":["), std::string::npos);
   EXPECT_NE(snapshot.find("sqp_stream_ingested_total"), std::string::npos);
 
   const std::string series = FetchRaw(*port, "/series.json");
   EXPECT_NE(series.find("HTTP/1.0 200 OK"), std::string::npos);
+  EXPECT_NE(series.find("Content-Type: application/json"), std::string::npos);
+  EXPECT_EQ(BodyOf(series), engine.monitor()->SeriesJson());
   EXPECT_NE(series.find("\"ticks\":2"), std::string::npos);
   EXPECT_NE(
       series.find("rate(sqp_stream_ingested_total{stream=packets})"),
       std::string::npos);
 
-  EXPECT_NE(FetchRaw(*port, "/nope").find("HTTP/1.0 404"),
+  // The in-process query's profile, by label, is the engine's snapshot.
+  const std::string profile = FetchRaw(*port, "/profile/q0.json");
+  EXPECT_NE(profile.find("HTTP/1.0 200 OK"), std::string::npos);
+  EXPECT_NE(profile.find("Content-Type: application/json"),
             std::string::npos);
-  EXPECT_NE(FetchRaw(*port, "/").find("streamqp metrics exporter"),
+  obs::QueryProfile expected;
+  ASSERT_TRUE(engine.ProfileSnapshot("q0", &expected));
+  EXPECT_EQ(BodyOf(profile), expected.ToJson());
+  EXPECT_NE(FetchRaw(*port, "/profile/q0.json?format=text")
+                .find("EXPLAIN ANALYZE"),
             std::string::npos);
+
+  // HEAD answers with the GET head and no body.
+  const std::string head = FetchRaw(*port, "/metrics", "HEAD");
+  EXPECT_NE(head.find("HTTP/1.0 200 OK"), std::string::npos);
+  EXPECT_NE(head.find("text/plain; version=0.0.4"), std::string::npos);
+  EXPECT_EQ(head.find("Content-Length: 0\r\n"), std::string::npos);
+  EXPECT_EQ(BodyOf(head), "");
+
+  const std::string missing = FetchRaw(*port, "/nope");
+  EXPECT_NE(missing.find("HTTP/1.0 404"), std::string::npos);
+  EXPECT_NE(missing.find("application/json"), std::string::npos);
+  // The root lists every route, scrapes included.
+  const std::string root = FetchRaw(*port, "/");
+  EXPECT_NE(root.find("\"GET /metrics\""), std::string::npos);
+  EXPECT_NE(root.find("\"GET /series.json\""), std::string::npos);
+  EXPECT_NE(root.find("\"GET /profile/<label>.json"), std::string::npos);
   // Query strings are stripped before routing.
   EXPECT_NE(FetchRaw(*port, "/metrics?x=1").find("HTTP/1.0 200 OK"),
             std::string::npos);
 
-  // Second ServeMetrics while serving is rejected.
-  EXPECT_FALSE(engine.ServeMetrics(0).ok());
+  // Second Serve while serving is rejected.
+  EXPECT_FALSE(engine.Serve(0).ok());
   engine.FinishAll();
 }
 
-TEST(HttpExporterTest, StandaloneWithoutMonitor) {
-  obs::MetricsRegistry reg;
-  reg.GetCounter("hits")->Inc(3);
-  obs::HttpExporter exporter(&reg);
-  ASSERT_TRUE(exporter.Serve(0).ok());
-  const std::string series = FetchRaw(exporter.port(), "/series.json");
-  EXPECT_NE(series.find("\"series\":[]"), std::string::npos);
-  const std::string metrics = FetchRaw(exporter.port(), "/metrics");
+TEST(ScrapeRoutesTest, SeriesIsAnEmptyShellWithoutMonitor) {
+  StreamEngine engine;
+  engine.Metrics().GetCounter("hits")->Inc(3);
+  auto port = engine.Serve(0);
+  ASSERT_TRUE(port.ok());
+  // Serve never starts a monitor (no sampler thread).
+  EXPECT_EQ(engine.monitor(), nullptr);
+  const std::string series = FetchRaw(*port, "/series.json");
+  EXPECT_NE(series.find("HTTP/1.0 200 OK"), std::string::npos);
+  EXPECT_EQ(BodyOf(series), "{\"ticks\":0,\"period_ms\":0,\"series\":[]}");
+  const std::string metrics = FetchRaw(*port, "/metrics");
   EXPECT_NE(metrics.find("hits 3"), std::string::npos);
-  exporter.Stop();
-  EXPECT_FALSE(exporter.serving());
+  engine.query_server()->Stop();
+  EXPECT_FALSE(engine.query_server()->serving());
 }
 
-TEST(HttpExporterTest, RoutingTableDirect) {
-  obs::MetricsRegistry reg;
-  obs::HttpExporter exporter(&reg);
-  EXPECT_EQ(exporter.Handle("/metrics").code, 200);
-  EXPECT_EQ(exporter.Handle("/snapshot.json").code, 200);
-  EXPECT_EQ(exporter.Handle("/series.json").code, 200);
-  EXPECT_EQ(exporter.Handle("/").code, 200);
-  EXPECT_EQ(exporter.Handle("/missing").code, 404);
-  EXPECT_FALSE(exporter.Serve(70000).ok());  // Port out of range.
+TEST(ScrapeRoutesTest, RouteCodesAndRefusedPort) {
+  StreamEngine engine;
+  EXPECT_FALSE(engine.Serve(70000).ok());  // Port out of range.
+  auto port = engine.Serve(0);
+  ASSERT_TRUE(port.ok());
+  for (const char* route : {"/metrics", "/snapshot.json", "/series.json",
+                            "/events.json", "/"}) {
+    EXPECT_NE(FetchRaw(*port, route).find("HTTP/1.0 200 OK"),
+              std::string::npos)
+        << route;
+  }
+  EXPECT_NE(FetchRaw(*port, "/missing").find("HTTP/1.0 404"),
+            std::string::npos);
+  EXPECT_NE(FetchRaw(*port, "/profile/q9.json").find("HTTP/1.0 404"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -423,7 +470,7 @@ TEST(MonitorEngineTest, ConcurrentTickIngestAndScrape) {
   obs::MonitorOptions mopt;
   mopt.period_ms = 1;
   engine.StartMonitor(mopt);
-  auto port = engine.ServeMetrics(0);
+  auto port = engine.Serve(0);
   ASSERT_TRUE(port.ok());
 
   std::atomic<bool> done{false};
@@ -455,7 +502,7 @@ TEST(MonitorEngineTest, ConcurrentProfileScrapeWhileIngesting) {
       "select tb, count(*) from packets group by ts/60 as tb");
   ASSERT_TRUE(q.ok());
   ASSERT_TRUE(engine.EnableParallel(*q).ok());
-  auto port = engine.ServeMetrics(0);
+  auto port = engine.Serve(0);
   ASSERT_TRUE(port.ok());
 
   std::atomic<bool> done{false};
@@ -499,6 +546,46 @@ TEST(MonitorEngineTest, ConcurrentProfileScrapeWhileIngesting) {
             std::string::npos);
   EXPECT_NE(FetchRaw(*port, "/events.json").find("query_submit"),
             std::string::npos);
+}
+
+TEST(MonitorEngineTest, ScrapeWhileMonitorStartsAfterServe) {
+  // /series.json reads the engine's monitor per request, so a monitor
+  // started after Serve races the scraper; TSan in CI checks the hand-off.
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterStream("packets", gen::PacketSchema()).ok());
+  auto q = engine.Submit("select ts from packets where len > 100");
+  ASSERT_TRUE(q.ok());
+  auto port = engine.Serve(0);
+  ASSERT_TRUE(port.ok());
+
+  std::atomic<bool> monitor_started{false};
+  std::atomic<bool> saw_monitor{false};
+  std::atomic<int> scrapes{0};
+  std::thread scraper([&] {
+    while (!saw_monitor.load()) {
+      const bool started = monitor_started.load();
+      const std::string series = FetchRaw(*port, "/series.json");
+      (void)FetchRaw(*port, "/metrics");
+      scrapes.fetch_add(1);
+      // A request sent after StartMonitor returned must see the monitor.
+      if (started) {
+        EXPECT_NE(series.find("\"period_ms\":1,"), std::string::npos)
+            << series;
+        saw_monitor.store(true);
+      }
+    }
+  });
+  while (scrapes.load() < 3) std::this_thread::yield();
+  obs::MonitorOptions mopt;
+  mopt.period_ms = 1;
+  engine.StartMonitor(mopt);
+  monitor_started.store(true);
+  for (int i = 0; i < 2000; ++i) {
+    EXPECT_TRUE(engine.Ingest("packets", Pkt(i, 1, 6, 200)).ok());
+  }
+  scraper.join();
+  EXPECT_TRUE(saw_monitor.load());
+  engine.FinishAll();
 }
 
 TEST(MonitorEngineTest, TopStringCarriesWatermarkLag) {

@@ -179,6 +179,43 @@ TEST(HttpParseTest, MalformedRequestLineRejected) {
   EXPECT_FALSE(server::ParseHttpHead("", &req, &n));
 }
 
+// RFC 9112 §6.3: an invalid or conflicting Content-Length cannot be
+// recovered from, so the head is refused and the connection dropped.
+TEST(HttpParseTest, MalformedContentLengthRejected) {
+  auto parse = [](const std::string& headers, size_t* n) {
+    server::HttpRequest req;
+    return server::ParseHttpHead(
+        "POST /query HTTP/1.1\r\nHost: t\r\n" + headers + "\r\n", &req, n);
+  };
+  size_t n = 0;
+  EXPECT_FALSE(parse("Content-Length: 12abc\r\n", &n));
+  EXPECT_FALSE(parse("Content-Length: 5\r\nContent-Length: 900\r\n", &n));
+  EXPECT_FALSE(parse("Content-Length: -3\r\n", &n));
+  EXPECT_FALSE(parse("Content-Length: +3\r\n", &n));
+  EXPECT_FALSE(parse("Content-Length: 99999999999999999999\r\n", &n));
+  EXPECT_FALSE(parse("Content-Length:\r\n", &n));
+  EXPECT_FALSE(parse("Content-Length: 1 2\r\n", &n));
+
+  // Surrounding whitespace and a repeated identical value are fine.
+  ASSERT_TRUE(parse("content-length:\t7 \r\n", &n));
+  EXPECT_EQ(n, 7u);
+  ASSERT_TRUE(parse("Content-Length: 5\r\nContent-Length: 5\r\n", &n));
+  EXPECT_EQ(n, 5u);
+
+  // Through the socket reader: the request is dropped, not served.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const std::string raw =
+      "POST /query HTTP/1.1\r\nContent-Length: 5\r\n"
+      "Content-Length: 900\r\n\r\nhello";
+  ASSERT_TRUE(server::SendAll(sv[0], raw.data(), raw.size()));
+  ::shutdown(sv[0], SHUT_WR);
+  server::HttpRequest req;
+  EXPECT_FALSE(server::ReadHttpRequest(sv[1], &req));
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
 TEST(HttpParseTest, ChunkedResponseRoundTrips) {
   std::string raw =
       "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
@@ -819,8 +856,6 @@ TEST_F(QueryServerTest, ReplaySessionSeesArchivedPast) {
 // its operator rows and latency histogram with it.
 TEST_F(QueryServerTest, MetricsStayBoundedUnderSessionChurn) {
   int port = Serve();
-  auto bound = engine_.ServeMetrics(0);
-  ASSERT_TRUE(bound.ok());
   auto churn = [&](int sessions) {
     for (int i = 0; i < sessions; ++i) {
       std::string sid = Submit(port, "select ts, len from packets");
@@ -831,23 +866,20 @@ TEST_F(QueryServerTest, MetricsStayBoundedUnderSessionChurn) {
     }
   };
   churn(10);
-  const size_t after_10 = Body(Get(*bound, "/metrics")).size();
+  const size_t after_10 = Body(Get(port, "/metrics")).size();
   churn(200);
-  const size_t after_210 = Body(Get(*bound, "/metrics")).size();
+  const size_t after_210 = Body(Get(port, "/metrics")).size();
   // Only counter digits may grow; one leaked query costs ~1 KB.
   EXPECT_LT(after_210, after_10 + 512);
   EXPECT_EQ(engine_.Metrics().TakeSnapshot().ops.size(), 0u);
 }
 
-// The metrics exporter rides the same listener now; make sure the
-// refactor kept it serving.
+// The scrape routes share the query server's port and listener.
 TEST_F(QueryServerTest, MetricsExporterStillServesOverSharedListener) {
-  (void)engine_.RegisterStream("packets", gen::PacketSchema());
-  auto bound = engine_.ServeMetrics(0);
-  ASSERT_TRUE(bound.ok());
-  std::string resp = Get(*bound, "/metrics");
+  int port = Serve();
+  std::string resp = Get(port, "/metrics");
   EXPECT_NE(resp.find(" 200 "), std::string::npos);
-  std::string json = Get(*bound, "/snapshot.json");
+  std::string json = Get(port, "/snapshot.json");
   EXPECT_NE(json.find(" 200 "), std::string::npos);
 }
 
